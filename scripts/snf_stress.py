@@ -15,7 +15,7 @@ import random
 import sys
 import time
 
-from bredon.intlinalg import IntegerMatrix, cokernel, kernel_basis, smith_normal_form
+from bredon.intlinalg import IntegerMatrix, smith_normal_form
 
 
 def check_one(rng: random.Random, max_dim: int, max_entry: int) -> str | None:
@@ -35,7 +35,7 @@ def check_one(rng: random.Random, max_dim: int, max_entry: int) -> str | None:
     if any(e % d for d, e in zip(factors, factors[1:])):
         return f"divisibility chain broken for {a.to_rows()}"
     k = len(factors)
-    if kernel_basis(a).cols != n - k or cokernel(a).free_rank != m - k:
+    if snf.kernel().cols != n - k or snf.cokernel().free_rank != m - k:
         return f"rank bookkeeping broken for {a.to_rows()}"
     return None
 

@@ -39,6 +39,23 @@ def _fail_input(message: str) -> int:
     return EXIT_INVALID_INPUT
 
 
+class _UnreadableInput(ValueError):
+    """A user file that cannot be read or parsed as JSON; maps to exit 3."""
+
+
+def _read_json(path: str, stdin: bool = False):
+    """Parse the JSON document at ``path`` (``-`` is stdin when ``stdin``)."""
+    try:
+        if stdin and path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise _UnreadableInput(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UnreadableInput(f"cannot read {path}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -215,22 +232,13 @@ def cmd_dump(args) -> int:
         return EXIT_OK
 
     try:
-        with open(args.from_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        return _fail_input(f"cannot read {args.from_file}: {exc}")
-    except json.JSONDecodeError as exc:
-        return _fail_input(f"{args.from_file}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    try:
-        complex = gcw.from_json_dict(data)
+        rep = homology.compute_homology(gcw.from_json_dict(_read_json(args.from_file)))
+    except _UnreadableInput as exc:
+        return _fail_input(str(exc))
     except schemas.SchemaError as exc:
         return _fail_input(f"{args.from_file}: {exc}")
-    violations = gcw.validate(complex)
-    if violations:
-        for v in violations:
-            print(f"{args.from_file}: {v}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    rep = homology.compute_homology(complex)
+    except gcw.InvalidComplexError as exc:
+        return _fail_input("\n".join(f"{args.from_file}: {v}" for v in exc.violations))
     if args.format == "json":
         print(homology.report_to_json(rep))
     else:
@@ -244,17 +252,10 @@ def cmd_dump(args) -> int:
 
 def cmd_snf(args) -> int:
     try:
-        raw = sys.stdin.read() if args.matrix == "-" else open(args.matrix, "r", encoding="utf-8").read()
-    except OSError as exc:
-        return _fail_input(f"cannot read {args.matrix}: {exc}")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        return _fail_input(f"{args.matrix}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    try:
+        data = _read_json(args.matrix, stdin=True)
         schemas.check(data, schemas.MATRIX_SCHEMA, "matrix")
         matrix = IntegerMatrix.from_rows(data)
-    except (schemas.SchemaError, ValueError) as exc:
+    except ValueError as exc:  # unreadable input, schema violations, ragged rows
         return _fail_input(str(exc))
     snf = smith_normal_form(matrix)
     if args.format == "json":

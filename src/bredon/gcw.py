@@ -142,8 +142,8 @@ def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
     return IntegerMatrix.from_rows(data, cols=ncols)
 
 
-def validate(complex: EquivariantComplex) -> list[str]:
-    """All structural violations, as human-readable strings; empty when valid."""
+def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMatrix]:
+    """(d1, d2), each assembled once; ``InvalidComplexError`` lists the violations."""
     violations: list[str] = []
     seen = set()
     for o in complex.orbits:
@@ -155,7 +155,7 @@ def validate(complex: EquivariantComplex) -> list[str]:
         if o.stabilizer not in chartab.GROUP_IDS:
             violations.append(f"orbit {o.orbit_id}: unknown stabilizer {o.stabilizer!r}")
     if violations:
-        return violations
+        raise InvalidComplexError(violations)
 
     two_cells = complex.orbits_of_dimension(2)
     if len(two_cells) != 1:
@@ -187,13 +187,22 @@ def validate(complex: EquivariantComplex) -> list[str]:
         if emb.sup != tgt.stabilizer:
             violations.append(f"{where}: embedding {term.embedding} has sup {emb.sup}, stabilizer is {tgt.stabilizer}")
     if violations:
-        return violations
+        raise InvalidComplexError(violations)
 
     d1 = assemble_differential(complex, 1)
     d2 = assemble_differential(complex, 2)
     if not (d1 @ d2).is_zero():
-        violations.append("differentials do not compose to zero")
-    return violations
+        raise InvalidComplexError(["differentials do not compose to zero"])
+    return d1, d2
+
+
+def validate(complex: EquivariantComplex) -> list[str]:
+    """All structural violations, as human-readable strings; empty when valid."""
+    try:
+        differentials(complex)
+    except InvalidComplexError as exc:
+        return exc.violations
+    return []
 
 
 # ---------------------------------------------------------------------------

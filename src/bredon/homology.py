@@ -1,17 +1,17 @@
 """Homology of an equivariant chain complex, with explicit labeled bases.
 
-One uniform algorithm serves every complex: H0 is the cokernel of the
-degree-1 differential, H2 the kernel lattice of the degree-2 one, and H1
-is computed by rewriting the image of the degree-2 differential in the
-coordinates of a kernel lattice basis of the degree-1 differential and
-taking the cokernel there.  All generator vectors are carried back to the
-chain groups and expressed over the generator labels.
+One uniform algorithm serves every complex, with one Smith normal form per
+differential: D1 = P1*d1*Q1 of rank k gives H0 = coker d1 and the kernel
+lattice basis Q1[:, k:] of d1; the decomposition of d2 gives H2 = ker d2.
+As Q1 is unimodular and d1*d2 = 0, the image of d2 in that kernel basis is
+the last n-k rows of Q1^-1 times d2, and H1 is its cokernel.  All
+generator vectors are carried back to the chain groups and expressed over
+the generator labels.
 
 ``verify_basis`` checks a candidate family of labeled chains against a
 computed group: every candidate must be a cycle and the candidates'
-classes must generate the homology group; generation is decided by a
-Smith-normal-form cokernel computation, so it is exact and insensitive to
-the (non-unique) choice of transform matrices.
+classes must generate the homology group, decided exactly by one
+Smith-normal-form cokernel in chain coordinates.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .gcw import EquivariantComplex, InvalidComplexError, assemble_differential, chain_rank, validate
-from .intlinalg import IntegerMatrix, cokernel, kernel_basis, solve_integer, smith_normal_form
+# InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
+from .gcw import EquivariantComplex, InvalidComplexError, chain_rank, differentials  # noqa: F401
+from .intlinalg import IntegerMatrix, cokernel, smith_normal_form
 
 #: A chain over the degree-d generators: ((label, coefficient), ...).
 Chain = tuple[tuple[str, int], ...]
@@ -84,16 +85,12 @@ def _chains_from_columns(labels: Sequence[str], m: IntegerMatrix) -> tuple[Chain
 
 
 def compute_homology(complex: EquivariantComplex) -> HomologyReport:
-    violations = validate(complex)
-    if violations:
-        raise InvalidComplexError(violations)
-
+    d1, d2 = differentials(complex)
     labels = tuple(tuple(lab.name for lab in chain_rank(complex, d)[1]) for d in (0, 1, 2))
-    d1 = assemble_differential(complex, 1)
-    d2 = assemble_differential(complex, 2)
+    snf1, snf2 = smith_normal_form(d1), smith_normal_form(d2)
 
     # Degree 0: plain cokernel of the degree-1 differential.
-    cok0 = cokernel(d1)
+    cok0 = snf1.cokernel()
     h0 = HomologyGroup(
         degree=0,
         free_rank=cok0.free_rank,
@@ -103,7 +100,7 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
     )
 
     # Degree 2: kernel lattice of the degree-2 differential, always free.
-    k2 = kernel_basis(d2)
+    k2 = snf2.kernel()
     h2 = HomologyGroup(
         degree=2,
         free_rank=k2.cols,
@@ -112,13 +109,11 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
         torsion_basis=(),
     )
 
-    # Degree 1: express the image of d2 in kernel coordinates of d1 and
-    # take the cokernel there; generators return through the kernel basis.
-    k1 = kernel_basis(d1)
-    x = solve_integer(k1, d2)
-    if x is None:
-        raise InvalidComplexError(["differentials do not compose to zero"])
-    cok1 = cokernel(x)
+    # Degree 1: cokernel of im d2 in the coordinates of the kernel basis
+    # k1 = Q1[:, k:], which are Q1^-1[k:, :] @ d2; generators return via k1.
+    k1 = snf1.kernel()
+    n, k = d1.cols, snf1.rank
+    cok1 = cokernel(IntegerMatrix(n - k, n, snf1.Q_inv.entries[k * n :]) @ d2)
     h1 = HomologyGroup(
         degree=1,
         free_rank=cok1.free_rank,
@@ -133,8 +128,8 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
         labels=labels,
         d1=d1,
         d2=d2,
-        invariant_factors_d1=smith_normal_form(d1).invariant_factors,
-        invariant_factors_d2=smith_normal_form(d2).invariant_factors,
+        invariant_factors_d1=snf1.invariant_factors,
+        invariant_factors_d2=snf2.invariant_factors,
     )
     if not report.euler_identity_holds():
         raise AssertionError(f"Euler identity violated for {complex.group_name}")
@@ -171,14 +166,18 @@ def chain_vector(report: HomologyReport, degree: int, candidate: Mapping[str, in
 def verify_basis(
     report: HomologyReport, degree: int, candidates: Sequence[Mapping[str, int] | Chain]
 ) -> BasisVerdict:
-    """ACCEPT iff every candidate is a cycle and their classes generate H_degree."""
+    """ACCEPT iff every candidate is a cycle and their classes generate H_degree.
+
+    The cycles Z = ker d_n are saturated in the chain group C_n, so C_n/Z is
+    free of rank r = rank d_n and C_n/(span + im d_n+1) = Z/(span + im d_n+1)
+    + Z^r: the cokernel of [candidates | d_n+1] has the quotient's torsion,
+    and its free rank exceeds the quotient's by r.
+    """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     vectors = [chain_vector(report, degree, c) for c in candidates]
     n = len(report.labels[degree])
-    cand = IntegerMatrix.from_rows(
-        [[v[i] for v in vectors] for i in range(n)], cols=len(vectors)
-    ) if vectors else IntegerMatrix.zeros(n, 0)
+    cand = IntegerMatrix.from_rows(vectors, cols=n).transpose()
 
     differential = {1: report.d1, 2: report.d2}.get(degree)
     if differential is not None:
@@ -187,31 +186,13 @@ def verify_basis(
             if any(image.col(j)):
                 return BasisVerdict(False, f"candidate {j + 1} is not a cycle")
 
-    # Coordinates of the cycle lattice: identity in degree 0, else a kernel
-    # lattice basis of the differential.
-    if degree == 0:
-        cand_coords = cand
-        boundary_coords: IntegerMatrix | None = report.d1
-    else:
-        kernel = kernel_basis(differential)  # type: ignore[arg-type]
-        cand_coords = solve_integer(kernel, cand)
-        if cand_coords is None:
-            return BasisVerdict(False, "candidate lies outside the cycle lattice")
-        if degree == 1:
-            boundary_coords = solve_integer(kernel, report.d2)
-            if boundary_coords is None:
-                raise InvalidComplexError(["differentials do not compose to zero"])
-        else:
-            boundary_coords = None
-
-    stacked = cand_coords if boundary_coords is None else cand_coords.hstack(boundary_coords)
-    cok = cokernel(stacked)
-    if cok.free_rank or cok.torsion:
-        missing = []
-        if cok.free_rank:
-            missing.append(f"free rank {cok.free_rank}")
-        if cok.torsion:
-            missing.append(f"torsion {list(cok.torsion)}")
+    boundaries = {0: report.d1, 1: report.d2}.get(degree)
+    cok = cokernel(cand if boundaries is None else cand.hstack(boundaries))
+    cycle_corank = len({1: report.invariant_factors_d1, 2: report.invariant_factors_d2}.get(degree, ()))
+    free_rank = cok.free_rank - cycle_corank  # r in the docstring
+    missing = [f"free rank {free_rank}"] if free_rank else []
+    missing += [f"torsion {list(cok.torsion)}"] if cok.torsion else []
+    if missing:
         return BasisVerdict(False, "candidates do not generate: quotient has " + ", ".join(missing))
     return BasisVerdict(True, "candidates are cycles and generate the group")
 

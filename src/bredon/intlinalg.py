@@ -104,7 +104,11 @@ class IntegerMatrix:
 
 @dataclass(frozen=True)
 class SNFDecomposition:
-    """D = P*A*Q with P, Q unimodular; D diagonal with a divisibility chain."""
+    """D = P*A*Q with P, Q unimodular; D diagonal with a divisibility chain.
+
+    ``kernel`` reads ker(A) off Q and ``cokernel`` coker(A) off P_inv, so
+    one reduction of A answers both.
+    """
 
     matrix: IntegerMatrix
     D: IntegerMatrix
@@ -117,6 +121,19 @@ class SNFDecomposition:
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
+
+    def kernel(self) -> IntegerMatrix:
+        """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
+        return self.Q.take_columns(range(self.rank, self.matrix.cols))
+
+    def cokernel(self) -> "CokernelPresentation":
+        torsion_positions = [i for i, d in enumerate(self.invariant_factors) if d > 1]
+        return CokernelPresentation(
+            torsion=tuple(self.invariant_factors[i] for i in torsion_positions),
+            free_rank=self.matrix.rows - self.rank,
+            torsion_generators=self.P_inv.take_columns(torsion_positions),
+            free_generators=self.P_inv.take_columns(range(self.rank, self.matrix.rows)),
+        )
 
 
 @dataclass(frozen=True)
@@ -289,21 +306,11 @@ def _force_divisibility(w: _Worker, t: int) -> None:
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
-    snf = smith_normal_form(a)
-    k = snf.rank
-    return snf.Q.take_columns(range(k, a.cols))
+    return smith_normal_form(a).kernel()
 
 
 def cokernel(a: IntegerMatrix) -> CokernelPresentation:
-    snf = smith_normal_form(a)
-    k = snf.rank
-    torsion_positions = [i for i, d in enumerate(snf.invariant_factors) if d > 1]
-    return CokernelPresentation(
-        torsion=tuple(snf.invariant_factors[i] for i in torsion_positions),
-        free_rank=a.rows - k,
-        torsion_generators=snf.P_inv.take_columns(torsion_positions),
-        free_generators=snf.P_inv.take_columns(range(k, a.rows)),
-    )
+    return smith_normal_form(a).cokernel()
 
 
 def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:

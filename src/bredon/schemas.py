@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import jsonschema
 
-GROUP_IDS = ["C1", "C2", "C3", "C4", "C6", "D2", "D3", "D4", "D6"]
+from . import chartab
 
 MATRIX_SCHEMA = {
     "$id": "bredon:matrix",
@@ -29,7 +29,7 @@ COMPLEX_SCHEMA = {
                 "properties": {
                     "id": {"type": "string"},
                     "dim": {"type": "integer", "minimum": 0, "maximum": 2},
-                    "stabilizer": {"enum": GROUP_IDS},
+                    "stabilizer": {"enum": list(chartab.GROUP_IDS)},
                     "label": {"type": "string"},
                 },
             },
@@ -133,7 +133,7 @@ TABLES_SCHEMA = {
                 "required": ["group", "order", "classes", "irreducibles"],
                 "additionalProperties": False,
                 "properties": {
-                    "group": {"enum": GROUP_IDS},
+                    "group": {"enum": list(chartab.GROUP_IDS)},
                     "order": {"type": "integer", "minimum": 1},
                     "classes": {
                         "type": "array",

@@ -1,10 +1,13 @@
+import gc
+import io
 import json
+import warnings
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from bredon import chartab, wallpaper
+from bredon import chartab, gcw, wallpaper
 from bredon.cli import main
 from bredon.cyclotomic import Cyclotomic
 from bredon.schemas import REPORT_SCHEMA
@@ -215,3 +218,68 @@ def test_snf_rejects_non_integer(capsys, tmp_path):
     path.write_text("[[1.5]]", encoding="utf-8")
     code, _, err = run(capsys, "snf", str(path))
     assert code == 3
+
+
+def test_from_file_differentials_not_composing(capsys, tmp_path):
+    data = gcw.to_json_dict(wallpaper.get_group("pmm")[0])
+    term = next(t for t in data["boundary"] if t["source"] == "e2")
+    term["sign"] = -term["sign"]
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "dump", "--from-file", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"{path}: differentials do not compose to zero\n"
+
+
+def test_from_file_reports_every_violation_in_order(capsys, tmp_path):
+    data = {
+        "group": "x",
+        "orbits": [
+            {"id": "f", "dim": 2, "stabilizer": "C1", "label": "gamma"},
+            {"id": "e", "dim": 1, "stabilizer": "C1", "label": "beta"},
+            {"id": "v", "dim": 0, "stabilizer": "C1", "label": "alpha"},
+        ],
+        "boundary": [
+            {"source": "f", "target": "v", "sign": 1, "embedding": "C1->C1"},
+            {"source": "e", "target": "zz", "sign": 1, "embedding": "C1->C1"},
+        ],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, _, err = run(capsys, "dump", "--from-file", str(path))
+    assert code == 3
+    assert err == (
+        f"{path}: boundary term f->v: dimensions 2->0 are not consecutive\n"
+        f"{path}: boundary term e->zz: references a missing orbit\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["dump", "--from-file"], ["snf"]])
+def test_non_utf8_file_is_invalid_input(capsys, tmp_path, command):
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe[[1]]")
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"cannot read {path}: ") and "utf-8" in err
+
+
+def test_snf_closes_its_file(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[[2, 4], [6, 8]]", encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["snf", str(path)]) == 0
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
+def test_snf_reads_stdin_but_dump_does_not(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("[[3, 0], [0, 6]]"))
+    code, out, _ = run(capsys, "snf", "-")
+    assert code == 0 and "invariant factors: [3, 6]" in out
+    monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
+    code, _, err = run(capsys, "snf", "-")
+    assert code == 3 and err.startswith("-:1:2: ")
+    code, _, err = run(capsys, "dump", "--from-file", "-")
+    assert code == 3 and err.startswith("cannot read -: ")

@@ -7,8 +7,10 @@ from bredon.gcw import (
     BoundaryTerm,
     CellOrbit,
     EquivariantComplex,
+    InvalidComplexError,
     assemble_differential,
     chain_rank,
+    differentials,
     from_json_dict,
     to_json_dict,
     validate,
@@ -106,6 +108,28 @@ def test_builtin_differentials_compose_to_zero(name):
     d1 = assemble_differential(complex, 1)
     d2 = assemble_differential(complex, 2)
     assert (d1 @ d2).is_zero()
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_differentials_returns_both_assembled_matrices(name):
+    complex = cx(name)
+    assert differentials(complex) == (assemble_differential(complex, 1), assemble_differential(complex, 2))
+
+
+def test_differentials_raises_the_violations_validate_lists():
+    base = cx("pmm")
+    terms = list(base.boundary)
+    idx = next(i for i, t in enumerate(terms) if t.source == "e2")
+    terms[idx] = dataclasses.replace(terms[idx], sign=-terms[idx].sign)
+    orbit = CellOrbit("e2", 2, "C1", "gamma")
+    for broken in (
+        dataclasses.replace(base, boundary=tuple(terms)),
+        EquivariantComplex("broken", (orbit, orbit), ()),
+        EquivariantComplex("broken", (orbit,), (BoundaryTerm("e2", "nowhere", 1, "C1->C1"),)),
+    ):
+        with pytest.raises(InvalidComplexError) as excinfo:
+            differentials(broken)
+        assert excinfo.value.violations == validate(broken) != []
 
 
 def test_wrong_embedding_subgroup_is_a_violation():

@@ -208,3 +208,13 @@ def test_solve_roundtrip(a, data):
     solved = solve_integer(a, b)
     assert solved is not None
     assert a @ solved == b
+
+
+@settings(max_examples=100)
+@given(matrices())
+def test_decomposition_reads_kernel_and_cokernel(a):
+    snf = smith_normal_form(a)
+    assert snf.kernel() == kernel_basis(a)
+    assert snf.cokernel() == cokernel(a)
+    assert (a @ snf.kernel()).is_zero()
+    assert snf.kernel().cols + snf.rank == a.cols
