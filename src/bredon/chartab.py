@@ -3,10 +3,13 @@
 The nine groups that occur as cell stabilizers (C1, C2, C3, C4, C6, D2,
 D3, D4, D6) are small and fixed, so their conjugacy classes and character
 tables are embedded as literal data and validated at load time by exact
-row orthogonality.  Restriction along a subgroup embedding is computed by
-pulling class values back through the embedding's class map; induction is
-its adjoint under the character inner product (Frobenius reciprocity), so
-its matrix is the transpose of the restriction matrix.
+row orthogonality.  All character values lie in Z[zeta_12], so the inner
+product sums with ``int`` coefficients and divides by |G| once, at the end.
+Restriction along a subgroup embedding is computed by pulling class values
+back through the embedding's class map; induction is its adjoint under the
+character inner product (Frobenius reciprocity), so its matrix is the
+transpose of the restriction matrix.  Induction matrices are memoised per
+embedding: each is computed on first use, once per process.
 
 Conventions (fixed so that all matrices are reproducible):
 
@@ -236,7 +239,7 @@ def inner_product(
         total = total + _cy(fv) * _cy(gv).conjugate() * cls.size
     if not total.is_rational():
         raise CharacterTableError("inner product is not rational")
-    return total.as_rational() / table.order
+    return Fraction(total.as_rational(), table.order)
 
 
 def validate_embedding(emb: SubgroupEmbedding) -> None:
@@ -277,8 +280,13 @@ def restriction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
     return IntegerMatrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(sub.rank)], cols=sup.rank)
 
 
+@lru_cache(maxsize=None)
 def induction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
-    """Matrix of Ind: R(H) -> R(K); by Frobenius reciprocity the transpose of restriction."""
+    """Matrix of Ind: R(H) -> R(K); by Frobenius reciprocity the transpose of restriction.
+
+    Memoised per embedding (embeddings are frozen, matrices immutable); a
+    broken embedding raises before anything is cached, so on every call.
+    """
     return restriction_matrix(emb).transpose()
 
 

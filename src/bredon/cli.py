@@ -93,7 +93,11 @@ def _print_extras(rep, show_differentials: bool, show_snf: bool) -> None:
             ("d_2", rep.d2, rep.invariant_factors_d2),
         ):
             print(f"\n{rep.group_name}: Smith normal form of {name}: invariant factors {list(factors)}")
-            print(smith_normal_form(mat).D)
+            # D is diag(invariant factors) padded with zeros to the shape of d.
+            diagonal = [[0] * mat.cols for _ in range(mat.rows)]
+            for i, f in enumerate(factors):
+                diagonal[i][i] = f
+            print(IntegerMatrix.from_rows(diagonal, cols=mat.cols))
 
 
 def cmd_compute(args) -> int:
@@ -143,25 +147,23 @@ def _verify_table3() -> tuple[int, int, list[str]]:
     return len(lines_total) - len(failed_lines), len(lines_total), failures
 
 
-def _verify_table4() -> tuple[int, int, list[str]]:
+def _verify_table4(reports) -> tuple[int, int, list[str]]:
     failures = []
     passed = 0
-    for name in wallpaper.list_groups():
-        rep = homology.compute_homology(wallpaper.get_group(name)[0])
+    for name, rep in reports.items():
         h2, h1, _, h0, _ = reference.HOMOLOGY_ROWS[name]
         computed = (rep.group(2).iso_type(), rep.group(1).iso_type(), rep.group(0).iso_type())
         if computed == (h2, h1, h0):
             passed += 1
         else:
             failures.append(f"{name}: computed (H2,H1,H0) = {computed}, reference {(h2, h1, h0)}")
-    return passed, len(wallpaper.list_groups()), failures
+    return passed, len(reports), failures
 
 
-def _verify_bases() -> tuple[int, int, list[str]]:
+def _verify_bases(reports) -> tuple[int, int, list[str]]:
     failures = []
     checks = 0
-    for name in wallpaper.list_groups():
-        rep = homology.compute_homology(wallpaper.get_group(name)[0])
+    for name, rep in reports.items():
         _, _, h1_basis, _, h0_basis = reference.HOMOLOGY_ROWS[name]
         for degree, basis in ((1, h1_basis), (0, h0_basis)):
             checks += 1
@@ -174,10 +176,13 @@ def _verify_bases() -> tuple[int, int, list[str]]:
 def cmd_verify(args) -> int:
     run_all = not (args.table3 or args.table4 or args.bases)
     status = EXIT_OK
+    reports = {}
+    if args.table4 or args.bases or run_all:  # both passes read one report per group
+        reports = {name: homology.compute_homology(wallpaper.get_group(name)[0]) for name in wallpaper.list_groups()}
     for flag, label, runner in (
         (args.table3 or run_all, "induced characters", _verify_table3),
-        (args.table4 or run_all, "homology isomorphism types", _verify_table4),
-        (args.bases or run_all, "reference bases", _verify_bases),
+        (args.table4 or run_all, "homology isomorphism types", lambda: _verify_table4(reports)),
+        (args.bases or run_all, "reference bases", lambda: _verify_bases(reports)),
     ):
         if not flag:
             continue

@@ -5,7 +5,11 @@ dihedral of order 4, 6, 8, 12) all live in Q(zeta) for a primitive 12th
 root of unity zeta, since every group element has order dividing 12.
 Elements are residue polynomials a + b*x + c*x^2 + d*x^3 with rational
 coefficients, reduced modulo the 12th cyclotomic polynomial
-x^4 - x^2 + 1.  No floating point anywhere.
+x^4 - x^2 + 1.  Every character value of these groups lies in Z[zeta],
+so coefficients are plain ``int``s: ``of`` turns an integral ``Fraction``
+into an ``int`` and keeps a ``Fraction`` only for a true rational, and
+sums and products of ``int`` coefficients stay ``int``.  No floating
+point anywhere: any other coefficient type is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -16,19 +20,24 @@ from fractions import Fraction
 Rational = Fraction | int
 
 
-def _frac(v: Rational) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _exact(v: Rational) -> Rational:
+    """An exact coefficient: an ``int``, or a ``Fraction`` that is not integral."""
+    if isinstance(v, int):
+        return v
+    if isinstance(v, Fraction):
+        return v.numerator if v.denominator == 1 else v
+    raise TypeError(f"cyclotomic coefficients are int or Fraction, not {type(v).__name__}")
 
 
 @dataclass(frozen=True)
 class Cyclotomic:
     """An element of Q(zeta_12), reduced mod x^4 - x^2 + 1."""
 
-    coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    coeffs: tuple[Rational, Rational, Rational, Rational]
 
     @staticmethod
     def of(a: Rational, b: Rational = 0, c: Rational = 0, d: Rational = 0) -> "Cyclotomic":
-        return Cyclotomic((_frac(a), _frac(b), _frac(c), _frac(d)))
+        return Cyclotomic((_exact(a), _exact(b), _exact(c), _exact(d)))
 
     @staticmethod
     def zeta_pow(k: int) -> "Cyclotomic":
@@ -65,7 +74,7 @@ class Cyclotomic:
 
     def __mul__(self, other: "Cyclotomic | Rational") -> "Cyclotomic":
         o = _coerce(other)
-        prod = [Fraction(0)] * 7
+        prod = [0] * 7
         for i, x in enumerate(self.coeffs):
             if x:
                 for j, y in enumerate(o.coeffs):
@@ -89,7 +98,7 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> Rational:
         if not self.is_rational():
             raise ValueError(f"not a rational number: {self}")
         return self.coeffs[0]

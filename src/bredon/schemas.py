@@ -1,8 +1,10 @@
-"""JSON Schemas for every wire format the CLI reads or writes."""
+"""JSON Schemas for every wire format the CLI reads or writes.
+
+``jsonschema`` is imported on the first ``check``, so commands that read
+no user JSON (``compute``, ``verify``, ``dump --dump-*``) never load it.
+"""
 
 from __future__ import annotations
-
-import jsonschema
 
 from . import chartab
 
@@ -181,6 +183,8 @@ class SchemaError(ValueError):
 
 def check(data, schema, what: str) -> None:
     """Validate and re-raise with a JSON-pointer style location."""
+    import jsonschema
+
     try:
         jsonschema.validate(data, schema)
     except jsonschema.ValidationError as exc:

@@ -1,12 +1,17 @@
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import bredon
 from bredon import chartab, gcw, wallpaper
 from bredon.cli import main
 from bredon.cyclotomic import Cyclotomic
@@ -283,3 +288,23 @@ def test_snf_reads_stdin_but_dump_does_not(capsys, monkeypatch, tmp_path):
     assert code == 3 and err.startswith("-:1:2: ")
     code, _, err = run(capsys, "dump", "--from-file", "-")
     assert code == 3 and err.startswith("cannot read -: ")
+
+
+def test_only_commands_that_read_user_json_load_jsonschema(tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text("[[2]]", encoding="utf-8")
+    probe = (
+        "import contextlib, io, sys\n"
+        "from bredon.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(sys.argv[1:])\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    loaded = {}
+    for argv in (["compute", "p1"], ["verify"], ["dump", "--dump-tables"], ["snf", str(matrix)]):
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=120, check=True
+        )
+        loaded[argv[0]] = proc.stdout.strip()
+    assert loaded == {"compute": "False", "verify": "False", "dump": "False", "snf": "True"}

@@ -64,6 +64,26 @@ def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
     assert tally == {"snf": 3, "assemble": 2}
 
 
+def test_verify_computes_each_group_once(tally):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify"]) == 1
+    # 3 SNFs and 2 assemblies per group, plus one SNF per checked H_1 and H_0 basis
+    groups = len(ALL_GROUPS)
+    assert tally == {"snf": 3 * groups + 2 * groups, "assemble": 2 * groups}
+
+
+def test_verify_table3_computes_no_homology(tally):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--table3"]) == 0
+    assert tally == {}
+
+
+def test_show_snf_reads_the_report(tally):
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["compute", "p4m", "--show-differentials", "--show-snf"]) == 0
+    assert tally == {"snf": 3, "assemble": 2}
+
+
 @pytest.mark.parametrize("degree", (0, 1, 2))
 def test_verify_basis_runs_one_snf_and_no_assembly(reports, tally, degree):
     for name in ALL_GROUPS:
