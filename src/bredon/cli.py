@@ -54,6 +54,8 @@ def _read_json(path: str, stdin: bool = False):
         raise _UnreadableInput(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise _UnreadableInput(f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # an integer literal over the digit limit; nesting too deep
+        raise _UnreadableInput(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,7 @@ def cmd_dump(args) -> int:
 def cmd_snf(args) -> int:
     try:
         data = _read_json(args.matrix, stdin=True)
-        schemas.check(data, schemas.MATRIX_SCHEMA, "matrix")
+        schemas.check(data, "matrix")
         matrix = IntegerMatrix.from_rows(data)
     except ValueError as exc:  # unreadable input, schema violations, ragged rows
         return _fail_input(str(exc))

@@ -206,7 +206,7 @@ def validate(complex: EquivariantComplex) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (the schema is documented in bredon.schemas)
+# JSON serialization (the format is checked by bredon.schemas.check)
 
 
 def to_json_dict(complex: EquivariantComplex) -> dict:
@@ -230,7 +230,7 @@ def to_json(complex: EquivariantComplex) -> str:
 def from_json_dict(data: dict, metadata: Any = None) -> EquivariantComplex:
     from . import schemas
 
-    schemas.check(data, schemas.COMPLEX_SCHEMA, "complex")
+    schemas.check(data, "complex")
     return EquivariantComplex(
         group_name=data["group"],
         orbits=tuple(

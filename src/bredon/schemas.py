@@ -1,192 +1,81 @@
-"""JSON Schemas for every wire format the CLI reads or writes.
+"""Checks of the two JSON formats the CLI reads: a complex and a matrix.
 
-``jsonschema`` is imported on the first ``check``, so commands that read
-no user JSON (``compute``, ``verify``, ``dump --dump-*``) never load it.
+Each format is declared as data shaped like the document it accepts: a
+dict is an object with exactly those keys, a list an array of its one
+item spec, ``str`` and ``int`` the JSON types (``int`` admits neither
+``true``/``false`` nor floats such as ``2.0``), a ``range`` an integer
+interval and a tuple the allowed values.  The document is checked level
+by level, so the violation reported is the one closest to the root.
 """
 
 from __future__ import annotations
 
 from . import chartab
 
-MATRIX_SCHEMA = {
-    "$id": "bredon:matrix",
-    "type": "array",
-    "items": {"type": "array", "items": {"type": "integer"}},
-}
-
-COMPLEX_SCHEMA = {
-    "$id": "bredon:complex",
-    "type": "object",
-    "required": ["group", "orbits", "boundary"],
-    "additionalProperties": False,
-    "properties": {
-        "group": {"type": "string"},
-        "orbits": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["id", "dim", "stabilizer", "label"],
-                "additionalProperties": False,
-                "properties": {
-                    "id": {"type": "string"},
-                    "dim": {"type": "integer", "minimum": 0, "maximum": 2},
-                    "stabilizer": {"enum": list(chartab.GROUP_IDS)},
-                    "label": {"type": "string"},
-                },
-            },
-        },
-        "boundary": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["source", "target", "sign", "embedding"],
-                "additionalProperties": False,
-                "properties": {
-                    "source": {"type": "string"},
-                    "target": {"type": "string"},
-                    "sign": {"enum": [1, -1]},
-                    "embedding": {"type": "string"},
-                },
-            },
-        },
-    },
-}
-
-_CHAIN = {"type": "array", "items": {
-    "type": "array",
-    "prefixItems": [{"type": "string"}, {"type": "integer"}],
-    "minItems": 2,
-    "maxItems": 2,
-}}
-
-_HOMOLOGY_GROUP_SCHEMA = {
-    "type": "object",
-    "required": ["degree", "free_rank", "torsion", "basis", "torsion_basis"],
-    "additionalProperties": False,
-    "properties": {
-        "degree": {"enum": [0, 1, 2]},
-        "free_rank": {"type": "integer", "minimum": 0},
-        "torsion": {"type": "array", "items": {"type": "integer", "exclusiveMinimum": 1}},
-        "basis": {"type": "array", "items": _CHAIN},
-        "torsion_basis": {"type": "array", "items": _CHAIN},
-    },
-}
-
-_DIFFERENTIAL_SCHEMA = {
-    "type": "object",
-    "required": ["rows", "cols", "entries"],
-    "additionalProperties": False,
-    "properties": {
-        "rows": {"type": "integer", "minimum": 0},
-        "cols": {"type": "integer", "minimum": 0},
-        "entries": MATRIX_SCHEMA,
-    },
-}
-
-REPORT_SCHEMA = {
-    "$id": "bredon:report",
-    "type": "object",
-    "required": ["group", "chain_ranks", "generators", "homology", "differentials", "invariant_factors"],
-    "additionalProperties": False,
-    "properties": {
-        "group": {"type": "string"},
-        "chain_ranks": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 3,
-            "maxItems": 3,
-        },
-        "generators": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "string"}},
-            "minItems": 3,
-            "maxItems": 3,
-        },
-        "homology": {"type": "array", "items": _HOMOLOGY_GROUP_SCHEMA, "minItems": 3, "maxItems": 3},
-        "differentials": {
-            "type": "object",
-            "required": ["d1", "d2"],
-            "additionalProperties": False,
-            "properties": {"d1": _DIFFERENTIAL_SCHEMA, "d2": _DIFFERENTIAL_SCHEMA},
-        },
-        "invariant_factors": {
-            "type": "object",
-            "required": ["d1", "d2"],
-            "additionalProperties": False,
-            "properties": {
-                "d1": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-                "d2": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-            },
-        },
-    },
-}
-
-TABLES_SCHEMA = {
-    "$id": "bredon:tables",
-    "type": "object",
-    "required": ["tables"],
-    "additionalProperties": False,
-    "properties": {
-        "tables": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["group", "order", "classes", "irreducibles"],
-                "additionalProperties": False,
-                "properties": {
-                    "group": {"enum": list(chartab.GROUP_IDS)},
-                    "order": {"type": "integer", "minimum": 1},
-                    "classes": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["label", "size", "element_order"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "label": {"type": "string"},
-                                "size": {"type": "integer", "minimum": 1},
-                                "element_order": {"type": "integer", "minimum": 1},
-                            },
-                        },
-                    },
-                    "irreducibles": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["name", "values"],
-                            "additionalProperties": False,
-                            "properties": {
-                                "name": {"type": "string"},
-                                "values": {
-                                    "type": "array",
-                                    "items": {
-                                        "type": "array",
-                                        "items": {"type": "string"},
-                                        "minItems": 4,
-                                        "maxItems": 4,
-                                    },
-                                },
-                            },
-                        },
-                    },
-                },
-            },
-        }
-    },
-}
-
 
 class SchemaError(ValueError):
     pass
 
 
-def check(data, schema, what: str) -> None:
-    """Validate and re-raise with a JSON-pointer style location."""
-    import jsonschema
+class _NonEmpty(list):
+    """An array spec that also requires at least one item."""
 
-    try:
-        jsonschema.validate(data, schema)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise SchemaError(f"invalid {what} at {path}: {exc.message}") from None
+
+_FORMATS = {
+    "complex": {
+        "group": str,
+        "orbits": _NonEmpty([{"id": str, "dim": range(3), "stabilizer": chartab.GROUP_IDS, "label": str}]),
+        "boundary": [{"source": str, "target": str, "sign": (1, -1), "embedding": str}],
+    },
+    "matrix": [[int]],
+}
+_TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
+_SPEC_TYPES = {dict: dict, list: list, _NonEmpty: list, range: int}
+
+
+def _reason(value, spec) -> str | None:
+    """Why ``value`` fails ``spec`` at its own level; its fields and items are checked one level down."""
+    if isinstance(spec, tuple):
+        if any(type(value) is type(allowed) and value == allowed for allowed in spec):
+            return None
+        return f"{value!r} is not one of {list(spec)}"
+    json_type = spec if isinstance(spec, type) else _SPEC_TYPES[type(spec)]
+    if not (type(value) is int if json_type is int else isinstance(value, json_type)):
+        return f"{value!r} is not of type {_TYPE_NAMES[json_type]!r}"
+    if isinstance(spec, range) and value not in spec:
+        if value < spec.start:
+            return f"{value} is less than the minimum of {spec.start}"
+        return f"{value} is greater than the maximum of {spec[-1]}"
+    if isinstance(spec, _NonEmpty) and not value:
+        return "[] should be non-empty"
+    if isinstance(spec, dict):
+        missing = [key for key in spec if key not in value]
+        if missing:
+            return f"{missing[0]!r} is a required property"
+        extra = sorted((key for key in value if key not in spec), key=str)
+        if extra:
+            were = "was" if len(extra) == 1 else "were"
+            return f"Additional properties are not allowed ({', '.join(map(repr, extra))} {were} unexpected)"
+    return None
+
+
+def _children(path: tuple, value, spec) -> list:
+    if isinstance(spec, dict):
+        return [(path + (key,), value[key], item) for key, item in spec.items()]
+    if isinstance(spec, list):
+        return [(path + (i,), item, spec[0]) for i, item in enumerate(value)]
+    return []
+
+
+def check(data, what: str) -> None:
+    """Raise ``SchemaError("invalid <what> at <path>: <reason>")`` unless
+    ``data`` is a valid ``what`` (``"complex"`` or ``"matrix"``); ``<path>``
+    joins the JSON keys and indices with ``/``, ``(root)`` for the document."""
+    level = [((), data, _FORMATS[what])]
+    while level:
+        for path, value, spec in level:
+            reason = _reason(value, spec)
+            if reason:
+                where = "/".join(map(str, path)) or "(root)"
+                raise SchemaError(f"invalid {what} at {where}: {reason}")
+        level = [child for node in level for child in _children(*node)]

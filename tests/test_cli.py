@@ -1,3 +1,4 @@
+import copy
 import gc
 import io
 import json
@@ -12,10 +13,10 @@ import jsonschema
 import pytest
 
 import bredon
-from bredon import chartab, gcw, wallpaper
+from bredon import chartab, gcw, schemas, wallpaper
 from bredon.cli import main
 from bredon.cyclotomic import Cyclotomic
-from bredon.schemas import REPORT_SCHEMA
+from report_schema import REPORT_SCHEMA
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -119,25 +120,27 @@ def test_dump_tables_reload_orthogonally(capsys):
             assert chartab.inner_product(values, values, table) == 1
 
 
+# not one of the built-ins: a single loop edge on a D4-stabilized vertex,
+# glued so both differentials vanish
+CUSTOM_COMPLEX = {
+    "group": "custom",
+    "orbits": [
+        {"id": "f", "dim": 2, "stabilizer": "C1", "label": "gamma"},
+        {"id": "e", "dim": 1, "stabilizer": "C2", "label": "beta"},
+        {"id": "v", "dim": 0, "stabilizer": "D4", "label": "alpha"},
+    ],
+    "boundary": [
+        {"source": "f", "target": "e", "sign": 1, "embedding": "C1->C2"},
+        {"source": "f", "target": "e", "sign": -1, "embedding": "C1->C2"},
+        {"source": "e", "target": "v", "sign": 1, "embedding": "C2->D4[C2^2]"},
+        {"source": "e", "target": "v", "sign": -1, "embedding": "C2->D4[C2^2]"},
+    ],
+}
+
+
 def test_from_file_accepts_custom_complex(capsys, tmp_path):
-    # not one of the built-ins: a single loop edge on a D4-stabilized vertex,
-    # glued so both differentials vanish
-    data = {
-        "group": "custom",
-        "orbits": [
-            {"id": "f", "dim": 2, "stabilizer": "C1", "label": "gamma"},
-            {"id": "e", "dim": 1, "stabilizer": "C2", "label": "beta"},
-            {"id": "v", "dim": 0, "stabilizer": "D4", "label": "alpha"},
-        ],
-        "boundary": [
-            {"source": "f", "target": "e", "sign": 1, "embedding": "C1->C2"},
-            {"source": "f", "target": "e", "sign": -1, "embedding": "C1->C2"},
-            {"source": "e", "target": "v", "sign": 1, "embedding": "C2->D4[C2^2]"},
-            {"source": "e", "target": "v", "sign": -1, "embedding": "C2->D4[C2^2]"},
-        ],
-    }
     path = tmp_path / "custom.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
+    path.write_text(json.dumps(CUSTOM_COMPLEX), encoding="utf-8")
     code, out, _ = run(capsys, "dump", "--from-file", str(path), "--format", "json")
     assert code == 0
     report = json.loads(out)
@@ -290,21 +293,130 @@ def test_snf_reads_stdin_but_dump_does_not(capsys, monkeypatch, tmp_path):
     assert code == 3 and err.startswith("cannot read -: ")
 
 
-def test_only_commands_that_read_user_json_load_jsonschema(tmp_path):
+_MISSING = object()
+
+
+def _custom_complex_with(keys, value):
+    """CUSTOM_COMPLEX with ``value`` at ``keys`` (the key deleted for _MISSING)."""
+    if not keys:
+        return value
+    data = copy.deepcopy(CUSTOM_COMPLEX)
+    node = data
+    for key in keys[:-1]:
+        node = node[key]
+    if value is _MISSING:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return data
+
+
+# One violation each; the paths are those jsonschema reported before the
+# standard-library check replaced it.
+@pytest.mark.parametrize(
+    "keys, value, where",
+    [
+        (("boundary",), _MISSING, "(root)"),
+        (("orbits", 1, "label"), _MISSING, "orbits/1"),
+        (("boundary", 2, "sign"), _MISSING, "boundary/2"),
+        (("x",), 1, "(root)"),
+        (("orbits", 0, "x"), 1, "orbits/0"),
+        (("boundary", 0, "x"), 1, "boundary/0"),
+        ((), [], "(root)"),
+        (("group",), 5, "group"),
+        (("orbits",), {}, "orbits"),
+        (("boundary",), "e", "boundary"),
+        (("orbits", 1), "e", "orbits/1"),
+        (("boundary", 3), [], "boundary/3"),
+        (("orbits", 0, "id"), 1, "orbits/0/id"),
+        (("orbits", 0, "dim"), "2", "orbits/0/dim"),
+        (("orbits", 2, "label"), None, "orbits/2/label"),
+        (("boundary", 0, "source"), 0, "boundary/0/source"),
+        (("boundary", 1, "embedding"), ["C1->C2"], "boundary/1/embedding"),
+        (("orbits", 0, "dim"), 3, "orbits/0/dim"),
+        (("orbits", 1, "stabilizer"), "C5", "orbits/1/stabilizer"),
+        (("boundary", 1, "sign"), 0, "boundary/1/sign"),
+        (("orbits",), [], "orbits"),
+        # JSON integers only: jsonschema accepted the first two
+        (("orbits", 0, "dim"), 2.0, "orbits/0/dim"),
+        (("boundary", 0, "sign"), 1.0, "boundary/0/sign"),
+        (("boundary", 0, "sign"), True, "boundary/0/sign"),
+    ],
+)
+def test_from_file_names_the_violation_path(capsys, tmp_path, keys, value, where):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_custom_complex_with(keys, value)), encoding="utf-8")
+    code, out, err = run(capsys, "dump", "--from-file", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{path}: invalid complex at {where}: ")
+
+
+@pytest.mark.parametrize(
+    "matrix, where",
+    [({"a": 1}, "(root)"), ([[1], 2], "1"), ([[1, "x"]], "0/1"), ([[2.0, 4]], "0/0"), ([[True]], "0/0")],
+)
+def test_snf_names_the_violation_path(capsys, tmp_path, matrix, where):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix), encoding="utf-8")
+    code, out, err = run(capsys, "snf", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"invalid matrix at {where}: ")
+
+
+def test_shallowest_violation_is_reported():
+    data = _custom_complex_with(("orbits", 0, "dim"), 3)
+    del data["boundary"][2]["sign"]
+    with pytest.raises(schemas.SchemaError, match="^invalid complex at boundary/2: 'sign' is a required"):
+        schemas.check(data, "complex")
+    with pytest.raises(schemas.SchemaError, match="^invalid matrix at 1: 3 is not of type 'array'$"):
+        schemas.check([[1.5], 3], "matrix")
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("command", [["dump", "--from-file"], ["snf"]])
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        pytest.param("[" * 100000 + "]" * 100000, "recursion", id="deeply-nested"),
+        pytest.param(
+            f"[[{'9' * (_DIGIT_LIMIT + 1)}]]",
+            "digits",
+            id="long-integer",
+            marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="no integer digit limit"),
+        ),
+    ],
+)
+def test_unparseable_json_is_invalid_input(capsys, tmp_path, command, text, reason):
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *command, str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{path}: ") and reason in err
+
+
+def test_no_command_needs_jsonschema(tmp_path):
+    complex_path = tmp_path / "p4m.json"
+    complex_path.write_text(gcw.to_json(wallpaper.get_group("p4m")[0]), encoding="utf-8")
     matrix = tmp_path / "m.json"
     matrix.write_text("[[2]]", encoding="utf-8")
     probe = (
         "import contextlib, io, sys\n"
+        "sys.modules['jsonschema'] = None  # any import of it raises ImportError\n"
         "from bredon.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    main(sys.argv[1:])\n"
-        "print('jsonschema' in sys.modules)\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
-    loaded = {}
-    for argv in (["compute", "p1"], ["verify"], ["dump", "--dump-tables"], ["snf", str(matrix)]):
-        proc = subprocess.run(
-            [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=120, check=True
-        )
-        loaded[argv[0]] = proc.stdout.strip()
-    assert loaded == {"compute": "False", "verify": "False", "dump": "False", "snf": "True"}
+    for argv, expected in (
+        (["compute", "p1"], 0),
+        (["verify"], 1),
+        (["dump", "--dump-tables"], 0),
+        (["dump", "--from-file", str(complex_path)], 0),
+        (["snf", str(matrix)], 0),
+    ):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, str(expected), ""), argv
+

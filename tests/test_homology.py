@@ -11,7 +11,7 @@ from bredon.homology import (
     verify_basis,
 )
 from bredon.intlinalg import IntegerMatrix
-from bredon.schemas import REPORT_SCHEMA
+from report_schema import REPORT_SCHEMA
 
 ALL_GROUPS = wallpaper.list_groups()
 
