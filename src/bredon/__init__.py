@@ -41,10 +41,7 @@ from .intlinalg import (
     CokernelPresentation,
     IntegerMatrix,
     SNFDecomposition,
-    cokernel,
-    kernel_basis,
     smith_normal_form,
-    solve_integer,
 )
 from .wallpaper import GroupRecord, get_group, list_groups
 
@@ -67,17 +64,14 @@ __all__ = [
     "assemble_differential",
     "build_table",
     "chain_rank",
-    "cokernel",
     "compute_homology",
     "get_group",
     "induction_matrix",
     "inner_product",
-    "kernel_basis",
     "list_groups",
     "registered_embeddings",
     "restriction_matrix",
     "smith_normal_form",
-    "solve_integer",
     "validate",
     "verify_basis",
 ]

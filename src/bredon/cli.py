@@ -265,23 +265,23 @@ def cmd_snf(args) -> int:
     except ValueError as exc:  # unreadable input, schema violations, ragged rows
         return _fail_input(str(exc))
     snf = smith_normal_form(matrix)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "invariant_factors": list(snf.invariant_factors),
-                    "D": snf.D.to_rows(),
-                    "P": snf.P.to_rows(),
-                    "Q": snf.Q.to_rows(),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(f"invariant factors: {list(snf.invariant_factors)}")
-        for name, mat in (("D", snf.D), ("P", snf.P), ("Q", snf.Q)):
-            print(f"{name} =")
-            print(mat)
+    factors, matrices = list(snf.invariant_factors), {"D": snf.D, "P": snf.P, "Q": snf.Q}
+    # The int-to-string digit limit bounds the entries of the input, not those
+    # of the result, so it is lifted while the result is rendered.
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digit_limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            payload = {"invariant_factors": factors, **{name: mat.to_rows() for name, mat in matrices.items()}}
+            print(json.dumps(payload, indent=2))
+        else:
+            print(f"invariant factors: {factors}")
+            for name, mat in matrices.items():
+                print(f"{name} =\n{mat}")
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
     return EXIT_OK
 
 

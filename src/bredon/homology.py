@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
 from .gcw import EquivariantComplex, InvalidComplexError, chain_rank, differentials  # noqa: F401
-from .intlinalg import IntegerMatrix, cokernel, smith_normal_form
+from .intlinalg import IntegerMatrix, smith_normal_form
 
 #: A chain over the degree-d generators: ((label, coefficient), ...).
 Chain = tuple[tuple[str, int], ...]
@@ -113,7 +113,7 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
     # k1 = Q1[:, k:], which are Q1^-1[k:, :] @ d2; generators return via k1.
     k1 = snf1.kernel()
     n, k = d1.cols, snf1.rank
-    cok1 = cokernel(IntegerMatrix(n - k, n, snf1.Q_inv.entries[k * n :]) @ d2)
+    cok1 = smith_normal_form(IntegerMatrix(n - k, n, snf1.Q_inv.entries[k * n :]) @ d2).cokernel()
     h1 = HomologyGroup(
         degree=1,
         free_rank=cok1.free_rank,
@@ -187,11 +187,13 @@ def verify_basis(
                 return BasisVerdict(False, f"candidate {j + 1} is not a cycle")
 
     boundaries = {0: report.d1, 1: report.d2}.get(degree)
-    cok = cokernel(cand if boundaries is None else cand.hstack(boundaries))
+    # Only the invariant factors are read, so no transform is built.
+    snf = smith_normal_form(cand if boundaries is None else cand.hstack(boundaries))
+    torsion = [d for d in snf.invariant_factors if d > 1]
     cycle_corank = len({1: report.invariant_factors_d1, 2: report.invariant_factors_d2}.get(degree, ()))
-    free_rank = cok.free_rank - cycle_corank  # r in the docstring
+    free_rank = n - snf.rank - cycle_corank  # r in the docstring
     missing = [f"free rank {free_rank}"] if free_rank else []
-    missing += [f"torsion {list(cok.torsion)}"] if cok.torsion else []
+    missing += [f"torsion {torsion}"] if torsion else []
     if missing:
         return BasisVerdict(False, "candidates do not generate: quotient has " + ", ".join(missing))
     return BasisVerdict(True, "candidates are cycles and generate the group")

@@ -3,13 +3,14 @@
 Everything here works over plain Python ints (arbitrary precision), so the
 results are exact regardless of pivot growth.  The central routine is
 ``smith_normal_form``, which diagonalizes D = P*A*Q with unimodular P, Q and
-returns the full decomposition including inverses; kernels, cokernels and
-integer solving are read off from it.
+returns the decomposition; P, Q, their inverses, kernels and cokernels are
+read off from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 
@@ -107,16 +108,32 @@ class SNFDecomposition:
     """D = P*A*Q with P, Q unimodular; D diagonal with a divisibility chain.
 
     ``kernel`` reads ker(A) off Q and ``cokernel`` coker(A) off P_inv, so
-    one reduction of A answers both.
+    one reduction of A answers both.  The reduction logs its row and column
+    operations; each of P, P_inv, Q and Q_inv is built from its log on
+    first read, so a caller pays only for the transforms it reads.
     """
 
     matrix: IntegerMatrix
     D: IntegerMatrix
-    P: IntegerMatrix
-    P_inv: IntegerMatrix
-    Q: IntegerMatrix
-    Q_inv: IntegerMatrix
     invariant_factors: tuple[int, ...]
+    row_ops: list[tuple[int, int, int]] = field(repr=False, compare=False)
+    col_ops: list[tuple[int, int, int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def P(self) -> IntegerMatrix:
+        return _replay(self.row_ops, self.matrix.rows, inverse=False, transposed=False)
+
+    @cached_property
+    def P_inv(self) -> IntegerMatrix:
+        return _replay(self.row_ops, self.matrix.rows, inverse=True, transposed=True)
+
+    @cached_property
+    def Q(self) -> IntegerMatrix:
+        return _replay(self.col_ops, self.matrix.cols, inverse=False, transposed=True)
+
+    @cached_property
+    def Q_inv(self) -> IntegerMatrix:
+        return _replay(self.col_ops, self.matrix.cols, inverse=True, transposed=False)
 
     @property
     def rank(self) -> int:
@@ -152,55 +169,70 @@ class CokernelPresentation:
 
 
 class _Worker:
-    """Mutable row/column reduction state maintaining D = P*A*Q throughout."""
+    """Mutable row/column reduction of D that logs every operation it applies.
+
+    A log entry (i, j, k) is a swap of lines i and j when k == 0 (an add
+    with k == 0 is never logged), a negation of line i when i == j, and
+    line_i += k * line_j otherwise.  Row ops act as D <- L*D, column ops
+    as D <- D*R.
+    """
 
     def __init__(self, a: IntegerMatrix):
         self.m, self.n = a.rows, a.cols
         self.d = a.to_rows()
-        self.p = IntegerMatrix.identity(self.m).to_rows()
-        self.pinv = IntegerMatrix.identity(self.m).to_rows()
-        self.q = IntegerMatrix.identity(self.n).to_rows()
-        self.qinv = IntegerMatrix.identity(self.n).to_rows()
+        self.row_ops: list[tuple[int, int, int]] = []
+        self.col_ops: list[tuple[int, int, int]] = []
 
-    # Row ops act as D <- L*D, P <- L*P, P_inv <- P_inv*L^-1.
     def row_swap(self, i: int, j: int) -> None:
         self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.p[i], self.p[j] = self.p[j], self.p[i]
-        for r in self.pinv:
-            r[i], r[j] = r[j], r[i]
+        self.row_ops.append((i, j, 0))
 
     def row_negate(self, i: int) -> None:
         self.d[i] = [-v for v in self.d[i]]
-        self.p[i] = [-v for v in self.p[i]]
-        for r in self.pinv:
-            r[i] = -r[i]
+        self.row_ops.append((i, i, -1))
 
     def row_add(self, i: int, j: int, k: int) -> None:
         """row_i += k * row_j"""
         if not k:
             return
         self.d[i] = [a + k * b for a, b in zip(self.d[i], self.d[j])]
-        self.p[i] = [a + k * b for a, b in zip(self.p[i], self.p[j])]
-        for r in self.pinv:
-            r[j] -= k * r[i]
+        self.row_ops.append((i, j, k))
 
-    # Column ops act as D <- D*R, Q <- Q*R, Q_inv <- R^-1*Q_inv.
     def col_swap(self, i: int, j: int) -> None:
         for r in self.d:
             r[i], r[j] = r[j], r[i]
-        for r in self.q:
-            r[i], r[j] = r[j], r[i]
-        self.qinv[i], self.qinv[j] = self.qinv[j], self.qinv[i]
+        self.col_ops.append((i, j, 0))
 
     def col_add(self, j: int, i: int, k: int) -> None:
         """col_j += k * col_i"""
         if not k:
             return
         for r in self.d:
-            r[j] += k * r[i]
-        for r in self.q:
-            r[j] += k * r[i]
-        self.qinv[i] = [a - k * b for a, b in zip(self.qinv[i], self.qinv[j])]
+            if r[i]:
+                r[j] += k * r[i]
+        self.col_ops.append((j, i, k))
+
+
+def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool) -> IntegerMatrix:
+    """Replay ``log`` as row operations on the size x size identity.
+
+    ``inverse`` replaces each operation by its inverse transposed (an add
+    line_i += k * line_j by line_j -= k * line_i; swaps and negations stay),
+    so the row log gives P or P_inv^T and the column log Q^T or Q_inv.  The
+    result is transposed once at the end when ``transposed``.
+    """
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i, j, k in log:
+        if not k:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = [-v for v in rows[i]]
+        elif inverse:
+            rows[j] = [a - k * b for a, b in zip(rows[j], rows[i])]
+        else:
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    lines = zip(*rows) if transposed else rows
+    return IntegerMatrix(size, size, tuple(v for line in lines for v in line))
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
@@ -231,15 +263,12 @@ def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
         if v == 0:
             break
         factors.append(abs(v))
-    dm = IntegerMatrix.from_rows(w.d, cols=n)
     return SNFDecomposition(
         matrix=a,
-        D=dm,
-        P=IntegerMatrix.from_rows(w.p, cols=m),
-        P_inv=IntegerMatrix.from_rows(w.pinv, cols=m),
-        Q=IntegerMatrix.from_rows(w.q, cols=n),
-        Q_inv=IntegerMatrix.from_rows(w.qinv, cols=n),
+        D=IntegerMatrix.from_rows(w.d, cols=n),
         invariant_factors=tuple(factors),
+        row_ops=w.row_ops,
+        col_ops=w.col_ops,
     )
 
 
@@ -302,39 +331,3 @@ def _force_divisibility(w: _Worker, t: int) -> None:
             return
         w.row_add(t, offender, 1)
         _clear_cross(w, t)
-
-
-def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
-    """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
-    return smith_normal_form(a).kernel()
-
-
-def cokernel(a: IntegerMatrix) -> CokernelPresentation:
-    return smith_normal_form(a).cokernel()
-
-
-def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
-    """An integer X with A X = B, or None when no integer solution exists.
-
-    Via the decomposition: with D = P A Q, X = Q * D^+ * (P B), where D^+
-    divides through by the invariant factors; every division must be exact
-    and the rows of P B beyond rank(A) must vanish.
-    """
-    if a.rows != b.rows:
-        raise ValueError("A and B must have the same number of rows")
-    snf = smith_normal_form(a)
-    k = snf.rank
-    c = snf.P @ b
-    y_rows = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        for j in range(b.cols):
-            v = c.entry(i, j)
-            if i < k:
-                d = snf.invariant_factors[i]
-                if v % d:
-                    return None
-                y_rows[i][j] = v // d
-            elif v:
-                return None
-    x = snf.Q @ IntegerMatrix.from_rows(y_rows, cols=b.cols)
-    return x

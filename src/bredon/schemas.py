@@ -33,19 +33,30 @@ _TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
 _SPEC_TYPES = {dict: dict, list: list, _NonEmpty: list, range: int}
 
 
+def _shown(value) -> str:
+    """``repr(value)`` abbreviated by reprlib: containers nested in it show as
+    ``[...]`` or ``{...}``, and long strings, integers and containers are cut,
+    so that a wrong type high in a big document does not print all of it."""
+    import reprlib  # error messages only
+
+    shown = reprlib.Repr()
+    shown.maxlevel = 1
+    return shown.repr(value)
+
+
 def _reason(value, spec) -> str | None:
     """Why ``value`` fails ``spec`` at its own level; its fields and items are checked one level down."""
     if isinstance(spec, tuple):
         if any(type(value) is type(allowed) and value == allowed for allowed in spec):
             return None
-        return f"{value!r} is not one of {list(spec)}"
+        return f"{_shown(value)} is not one of {list(spec)}"
     json_type = spec if isinstance(spec, type) else _SPEC_TYPES[type(spec)]
     if not (type(value) is int if json_type is int else isinstance(value, json_type)):
-        return f"{value!r} is not of type {_TYPE_NAMES[json_type]!r}"
+        return f"{_shown(value)} is not of type {_TYPE_NAMES[json_type]!r}"
     if isinstance(spec, range) and value not in spec:
         if value < spec.start:
-            return f"{value} is less than the minimum of {spec.start}"
-        return f"{value} is greater than the maximum of {spec[-1]}"
+            return f"{_shown(value)} is less than the minimum of {spec.start}"
+        return f"{_shown(value)} is greater than the maximum of {spec[-1]}"
     if isinstance(spec, _NonEmpty) and not value:
         return "[] should be non-empty"
     if isinstance(spec, dict):

@@ -396,6 +396,54 @@ def test_unparseable_json_is_invalid_input(capsys, tmp_path, command, text, reas
     assert err.startswith(f"{path}: ") and reason in err
 
 
+@pytest.mark.parametrize(
+    "command, text, where",
+    [
+        pytest.param(["snf"], "[" * 980 + "1" + "]" * 980, "0/0", id="deep-matrix"),
+        pytest.param(
+            ["dump", "--from-file"],
+            json.dumps({**CUSTOM_COMPLEX, "orbits": {str(i): i for i in range(5000)}}),
+            "orbits",
+            id="large-orbits-object",
+        ),
+        pytest.param(
+            ["dump", "--from-file"],
+            json.dumps(_custom_complex_with(("orbits", 0, "dim"), 10**4000)),
+            "orbits/0/dim",
+            id="long-dim",
+        ),
+    ],
+)
+def test_schema_messages_abbreviate_the_offending_value(tmp_path, command, text, where):
+    # A fresh interpreter: under pytest's deeper stack the 980-deep array would not parse.
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bredon", *command, str(path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    message = proc.stderr.removeprefix(f"{path}: ")
+    what = "matrix" if command == ["snf"] else "complex"
+    assert message.startswith(f"invalid {what} at {where}: ") and len(message) < 200
+
+
+def test_snf_prints_results_over_the_digit_limit(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(f"[[{10**3000}, 1], [0, {10**3000}]]", encoding="utf-8")
+    code, out, err = run(capsys, "snf", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == _DIGIT_LIMIT  # restored
+    if _DIGIT_LIMIT:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert json.loads(out)["invariant_factors"] == [1, 10**6000]
+    finally:
+        if _DIGIT_LIMIT:
+            sys.set_int_max_str_digits(_DIGIT_LIMIT)
+    code, out, err = run(capsys, "snf", str(path))
+    assert (code, err) == (0, "") and out.startswith("invariant factors: [1, 1000")
+
+
 def test_no_command_needs_jsonschema(tmp_path):
     complex_path = tmp_path / "p4m.json"
     complex_path.write_text(gcw.to_json(wallpaper.get_group("p4m")[0]), encoding="utf-8")

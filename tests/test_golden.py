@@ -9,9 +9,16 @@ recompute the digests and say why in the change log.
     python -m bredon verify | sha256sum                  # exits 1: the cm H_1 basis
     python -m bredon dump --dump-tables | sha256sum
     python -m bredon compute <g> --show-differentials --show-snf | sha256sum
+    python -m bredon snf <m.json> --format json | sha256sum   # and --format text
+
+The ``snf`` inputs are the seeded dense matrices of ``snf_matrix``: their
+transforms P and Q have entries of hundreds of bits, so the digests pin
+the whole pivot sequence.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -42,6 +49,45 @@ SHOW_DIFFERENTIALS_AND_SNF = {
     "p6m": "e324e7a4d047ad6a867d957ac194773ae2bd43742d3a574cb399b824f894765c",
 }
 
+#: sha256 of ``snf --format json`` and of ``snf --format text`` per matrix shape.
+SNF_DENSE = {
+    "8x8": (
+        "8be858933f9ba8369a468d087d9b11c0028a89d06336f38417890cec9d4f34d3",
+        "2d2378b47b8708100e242006c60de62751ff8f34e26762a471e6f083af07c1f7",
+    ),
+    "8x24": (
+        "480e8a669e2e0d14fd4e11dcdb082dc3fdcee791692a3b6d32ae2994db351e23",
+        "417a221aa18324c065712124926489815cd60e8e08f28c5988ef7f1072e21f07",
+    ),
+    "12x20": (
+        "3a6aeeafccc40aee4f6dddf77c7885e42fb477664988a3461db33b84004ceb53",
+        "3e4b620e362d1bdd355d2fc4cee2312f5e60826893d78c933db81a81fa01ccf7",
+    ),
+    "16x16": (
+        "46dc7533e0066e7f18e3c11f8eb9dec07ca9d523a683616de791e435e3e4286e",
+        "67782ac667428eb460879546ab793159425f1133534ae67a0c34b6f77279a195",
+    ),
+    "20x12": (
+        "95c7dec489fcd777c906158947a6a2edc61c0e88bcdf323a09838cbf777e5726",
+        "36d24a4a5b146efd2fe0063fe725f6a9e669bf8972b22ace1c37f10ebc6e65b9",
+    ),
+    "24x8": (
+        "5fe40328b38e4bf380679bb59a8f61ee5443589ea5aeb544cc87cbf365247438",
+        "4a71f8d5dc586cd7bcaffb0ec60be052ad4ce8fc26b3810311bf867a85a0fa3d",
+    ),
+    "24x24": (
+        "5a254c3b55828462d9ed9e8438ce404278790c95dd14cfbf9cd4b73e7eb320fa",
+        "b3a0ab3701ffe8b9b0f9c204a6cfeddac69d19f1207097c0278e68a7f808e7cd",
+    ),
+}
+
+
+def snf_matrix(shape: str) -> list[list[int]]:
+    """The dense matrix of ``shape`` ("<rows>x<cols>") with entries in [-99, 99]."""
+    rows, cols = map(int, shape.split("x"))
+    rng = random.Random(f"snf-golden-{shape}")
+    return [[rng.randint(-99, 99) for _ in range(cols)] for _ in range(rows)]
+
 
 def digest(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
@@ -69,3 +115,12 @@ def test_every_group_is_pinned():
 def test_show_differentials_and_snf(capsys, name):
     expected = SHOW_DIFFERENTIALS_AND_SNF[name]
     assert digest(capsys, "compute", name, "--show-differentials", "--show-snf") == (0, expected)
+
+
+@pytest.mark.parametrize("shape", SNF_DENSE)
+def test_snf_dense(capsys, tmp_path, shape):
+    path = tmp_path / f"{shape}.json"
+    path.write_text(json.dumps(snf_matrix(shape)), encoding="utf-8")
+    expected_json, expected_text = SNF_DENSE[shape]
+    assert digest(capsys, "snf", str(path), "--format", "json") == (0, expected_json)
+    assert digest(capsys, "snf", str(path), "--format", "text") == (0, expected_text)

@@ -2,13 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bredon.intlinalg import (
-    IntegerMatrix,
-    cokernel,
-    kernel_basis,
-    smith_normal_form,
-    solve_integer,
-)
+from bredon.intlinalg import IntegerMatrix, smith_normal_form
+from snf_helpers import cokernel, kernel_basis, solve_integer
 
 
 def cofactor_det(m: IntegerMatrix) -> int:

@@ -1,10 +1,12 @@
 """The engine reduces each differential once and assembles it once.
 
 Counts are taken by patching ``intlinalg._Worker`` (one per Smith normal
-form) and every binding of ``gcw.assemble_differential``.  The verdicts of
+form) and every binding of ``gcw.assemble_differential``; the transforms
+P, P_inv, Q and Q_inv built from a decomposition's operation logs are
+counted by patching ``intlinalg._replay``.  The verdicts of
 ``verify_basis`` are checked against the kernel-coordinate algorithm it
-replaced, rebuilt here from the public ``kernel_basis``, ``solve_integer``
-and ``cokernel``.
+replaced, rebuilt here from ``kernel_basis``, ``solve_integer`` and
+``cokernel`` of the tests' ``snf_helpers``.
 """
 
 import io
@@ -14,10 +16,13 @@ from collections import Counter
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bredon import cli, gcw, intlinalg, wallpaper
 from bredon.homology import chain_vector, compute_homology, verify_basis
-from bredon.intlinalg import IntegerMatrix, cokernel, kernel_basis, smith_normal_form, solve_integer
+from bredon.intlinalg import IntegerMatrix, smith_normal_form
+from snf_helpers import cokernel, kernel_basis, solve_integer
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -42,6 +47,23 @@ def tally(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "bredon" and getattr(module, "assemble_differential", None) is assemble:
             monkeypatch.setattr(module, "assemble_differential", counting_assemble)
+    return counts
+
+
+#: The transform each (inverse, transposed) replay of ``intlinalg._replay`` builds.
+TRANSFORMS = {(False, False): "P", (True, True): "P_inv", (False, True): "Q", (True, False): "Q_inv"}
+
+
+@pytest.fixture
+def built(monkeypatch):
+    counts = Counter()
+    replay = intlinalg._replay
+
+    def counting_replay(log, size, inverse, transposed):
+        counts[TRANSFORMS[inverse, transposed]] += 1
+        return replay(log, size, inverse, transposed)
+
+    monkeypatch.setattr(intlinalg, "_replay", counting_replay)
     return counts
 
 
@@ -91,6 +113,48 @@ def test_verify_basis_runs_one_snf_and_no_assembly(reports, tally, degree):
         tally.clear()
         assert verify_basis(reports[name], degree, list(group.torsion_basis) + list(group.basis))
         assert tally == {"snf": 1}, name
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_compute_homology_builds_five_transforms(built, name):
+    compute_homology(wallpaper.get_group(name)[0])
+    # d1: P_inv for H_0, Q for its kernel, Q_inv for d2 in kernel coordinates;
+    # d2: Q for its kernel; the H_1 matrix: P_inv for its cokernel
+    assert built == {"P_inv": 2, "Q": 2, "Q_inv": 1}
+
+
+def test_verify_basis_builds_no_transform(reports, built):
+    for name in ALL_GROUPS:
+        for degree in (0, 1, 2):
+            group = reports[name].group(degree)
+            assert verify_basis(reports[name], degree, list(group.torsion_basis) + list(group.basis))
+    assert built == {}
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["verify"]) == 1  # the cm reference basis is rejected
+    assert built == {"P_inv": 2 * len(ALL_GROUPS), "Q": 2 * len(ALL_GROUPS), "Q_inv": len(ALL_GROUPS)}
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_snf_builds_p_and_q(built, tmp_path, fmt):
+    path = tmp_path / "m.json"
+    path.write_text("[[2, 4, 4], [-6, 6, 12], [10, -4, -16]]", encoding="utf-8")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["snf", str(path), "--format", fmt]) == 0
+    assert built == {"P": 1, "Q": 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.permutations(sorted(TRANSFORMS.values())))
+def test_transforms_hold_and_are_cached_in_any_read_order(data, order):
+    m, n = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-20, 20), min_size=n, max_size=n), min_size=m, max_size=m))
+    a = IntegerMatrix.from_rows(rows, cols=n)
+    snf = smith_normal_form(a)
+    first = {name: getattr(snf, name) for name in order}
+    assert first["P"] @ a @ first["Q"] == snf.D
+    assert first["P"] @ first["P_inv"] == IntegerMatrix.identity(m)
+    assert first["Q"] @ first["Q_inv"] == IntegerMatrix.identity(n)
+    assert all(getattr(snf, name) is first[name] for name in order)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
