@@ -1,6 +1,6 @@
 """Exact Bredon homology of the 17 wallpaper groups.
 
-The packages computes, over exact integer and cyclotomic arithmetic, the
+The package computes, over exact integer and cyclotomic arithmetic, the
 homology of the equivariant chain complexes attached to the plane actions
 of the wallpaper groups, with coefficients in the complex representation
 rings of the finite cell stabilizers.  The pieces are reusable on their

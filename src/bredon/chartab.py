@@ -34,8 +34,6 @@ from typing import Mapping, Sequence
 from .cyclotomic import Cyclotomic, I, OMEGA3, OMEGA6
 from .intlinalg import IntegerMatrix
 
-GROUP_IDS = ("C1", "C2", "C3", "C4", "C6", "D2", "D3", "D4", "D6")
-
 GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6, "D2": 4, "D3": 6, "D4": 8, "D6": 12}
 
 
@@ -191,6 +189,8 @@ _TABLE_DATA: dict[str, tuple[list[tuple[str, int, int]], list[tuple[str, list]]]
         ],
     ),
 }
+
+GROUP_IDS = tuple(_TABLE_DATA)
 
 
 @lru_cache(maxsize=None)

@@ -95,11 +95,7 @@ def _print_extras(rep, show_differentials: bool, show_snf: bool) -> None:
             ("d_2", rep.d2, rep.invariant_factors_d2),
         ):
             print(f"\n{rep.group_name}: Smith normal form of {name}: invariant factors {list(factors)}")
-            # D is diag(invariant factors) padded with zeros to the shape of d.
-            diagonal = [[0] * mat.cols for _ in range(mat.rows)]
-            for i, f in enumerate(factors):
-                diagonal[i][i] = f
-            print(IntegerMatrix.from_rows(diagonal, cols=mat.cols))
+            print(IntegerMatrix.diagonal(mat.rows, mat.cols, factors))
 
 
 def cmd_compute(args) -> int:

@@ -134,9 +134,6 @@ def _coerce(v: "Cyclotomic | Rational") -> Cyclotomic:
     return Cyclotomic.of(v)
 
 
-ZERO = Cyclotomic.of(0)
-ONE = Cyclotomic.of(1)
-
 #: i, the primitive 4th root (zeta^3).
 I = Cyclotomic.zeta_pow(3)
 #: primitive cube root of unity (zeta^4).

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from functools import cached_property
+from typing import Any, NamedTuple, Sequence
 
 from . import chartab
 from .intlinalg import IntegerMatrix
@@ -52,6 +53,14 @@ class GeneratorLabel:
         return self.name
 
 
+class ChainLayout(NamedTuple):
+    """Orbits by id; per degree d, the generators and the offset of each orbit's block."""
+
+    orbits: dict[str, CellOrbit]
+    labels: tuple[tuple[GeneratorLabel, ...], ...]
+    offsets: tuple[dict[str, int], ...]
+
+
 @dataclass(frozen=True)
 class EquivariantComplex:
     group_name: str
@@ -62,46 +71,34 @@ class EquivariantComplex:
     def orbits_of_dimension(self, d: int) -> tuple[CellOrbit, ...]:
         return tuple(o for o in self.orbits if o.dimension == d)
 
-    def orbit(self, orbit_id: str) -> CellOrbit:
-        for o in self.orbits:
-            if o.orbit_id == orbit_id:
-                return o
-        raise KeyError(f"no orbit {orbit_id!r} in {self.group_name}")
+    @cached_property
+    def layout(self) -> ChainLayout:
+        """The chain layout, derived once per complex on first read.
 
-
-def generator_labels(complex: EquivariantComplex, d: int) -> list[GeneratorLabel]:
-    """Chain generators in orbit order, then irreducible order.
-
-    An orbit whose stabilizer has a single irreducible gets its bare label
-    stem; otherwise the 1-based irreducible index is appended as ^k.
-    """
-    labels = []
-    for orbit in complex.orbits_of_dimension(d):
-        table = chartab.build_table(orbit.stabilizer)
-        if table.rank == 1:
-            labels.append(GeneratorLabel(orbit.orbit_id, orbit.label))
-        else:
-            for k in range(1, table.rank + 1):
-                labels.append(GeneratorLabel(orbit.orbit_id, f"{orbit.label}^{k}"))
-    return labels
+        Generators come in orbit order, then irreducible order.  An orbit
+        whose stabilizer has a single irreducible gets its bare label stem;
+        otherwise the 1-based irreducible index is appended as ^k.  Orbits
+        of a dimension outside 0..2 belong to no chain group.
+        """
+        labels: tuple[list[GeneratorLabel], ...] = ([], [], [])
+        offsets: tuple[dict[str, int], ...] = ({}, {}, {})
+        for orbit in self.orbits:
+            d = orbit.dimension
+            if d not in (0, 1, 2):
+                continue
+            rank = chartab.build_table(orbit.stabilizer).rank
+            offsets[d][orbit.orbit_id] = len(labels[d])
+            names = [orbit.label] if rank == 1 else [f"{orbit.label}^{k}" for k in range(1, rank + 1)]
+            labels[d].extend(GeneratorLabel(orbit.orbit_id, name) for name in names)
+        return ChainLayout({o.orbit_id: o for o in self.orbits}, tuple(map(tuple, labels)), offsets)
 
 
 def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[GeneratorLabel]]:
+    """The rank of the degree-d chain group and its generators (see ``ChainLayout``)."""
     if d not in (0, 1, 2):
         raise ValueError("chain degree must be 0, 1 or 2")
-    labels = generator_labels(complex, d)
-    return len(labels), labels
-
-
-def _block_offsets(complex: EquivariantComplex, d: int) -> dict[str, tuple[int, int]]:
-    """orbit_id -> (offset, size) inside the degree-d chain group."""
-    offsets = {}
-    pos = 0
-    for orbit in complex.orbits_of_dimension(d):
-        size = chartab.build_table(orbit.stabilizer).rank
-        offsets[orbit.orbit_id] = (pos, size)
-        pos += size
-    return offsets
+    labels = complex.layout.labels[d]
+    return len(labels), list(labels)
 
 
 def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
@@ -113,10 +110,9 @@ def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
     """
     if d not in (1, 2):
         raise ValueError("differential degree must be 1 or 2")
-    src_offsets = _block_offsets(complex, d)
-    tgt_offsets = _block_offsets(complex, d - 1)
-    nrows = sum(size for _, size in tgt_offsets.values())
-    ncols = sum(size for _, size in src_offsets.values())
+    layout = complex.layout
+    src_offsets, tgt_offsets = layout.offsets[d], layout.offsets[d - 1]
+    nrows, ncols = len(layout.labels[d - 1]), len(layout.labels[d])
     data = [[0] * ncols for _ in range(nrows)]
     for term in complex.boundary:
         if term.source not in src_offsets:
@@ -124,8 +120,7 @@ def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
         if term.target not in tgt_offsets:
             raise InvalidComplexError([f"boundary term {term.source}->{term.target} skips a dimension"])
         emb = chartab.get_embedding(term.embedding)
-        src_orbit = complex.orbit(term.source)
-        tgt_orbit = complex.orbit(term.target)
+        src_orbit, tgt_orbit = layout.orbits[term.source], layout.orbits[term.target]
         if emb.sub != src_orbit.stabilizer or emb.sup != tgt_orbit.stabilizer:
             raise InvalidComplexError(
                 [
@@ -134,8 +129,7 @@ def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
                 ]
             )
         ind = chartab.induction_matrix(emb)
-        r0, _ = tgt_offsets[term.target]
-        c0, _ = src_offsets[term.source]
+        r0, c0 = tgt_offsets[term.target], src_offsets[term.source]
         for i in range(ind.rows):
             for j in range(ind.cols):
                 data[r0 + i][c0 + j] += term.sign * ind.entry(i, j)
@@ -157,21 +151,21 @@ def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMa
     if violations:
         raise InvalidComplexError(violations)
 
-    two_cells = complex.orbits_of_dimension(2)
-    if len(two_cells) != 1:
-        violations.append(f"expected exactly one orbit of 2-cells, found {len(two_cells)}")
+    # Orbit ids are unique and every stabilizer is known from here on.
+    layout = complex.layout
+    if len(layout.offsets[2]) != 1:
+        violations.append(f"expected exactly one orbit of 2-cells, found {len(layout.offsets[2])}")
 
-    all_labels = [lab.name for d in (0, 1, 2) for lab in generator_labels(complex, d)]
+    all_labels = [lab.name for labels in layout.labels for lab in labels]
     if len(set(all_labels)) != len(all_labels):
         violations.append("generator labels are not unique")
 
-    orbit_ids = {o.orbit_id for o in complex.orbits}
     for term in complex.boundary:
         where = f"boundary term {term.source}->{term.target}"
-        if term.source not in orbit_ids or term.target not in orbit_ids:
+        if term.source not in layout.orbits or term.target not in layout.orbits:
             violations.append(f"{where}: references a missing orbit")
             continue
-        src, tgt = complex.orbit(term.source), complex.orbit(term.target)
+        src, tgt = layout.orbits[term.source], layout.orbits[term.target]
         if src.dimension != tgt.dimension + 1:
             violations.append(f"{where}: dimensions {src.dimension}->{tgt.dimension} are not consecutive")
             continue

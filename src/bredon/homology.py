@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
-from .gcw import EquivariantComplex, InvalidComplexError, chain_rank, differentials  # noqa: F401
+from .gcw import EquivariantComplex, InvalidComplexError, differentials  # noqa: F401
 from .intlinalg import IntegerMatrix, smith_normal_form
 
 #: A chain over the degree-d generators: ((label, coefficient), ...).
@@ -86,7 +86,7 @@ def _chains_from_columns(labels: Sequence[str], m: IntegerMatrix) -> tuple[Chain
 
 def compute_homology(complex: EquivariantComplex) -> HomologyReport:
     d1, d2 = differentials(complex)
-    labels = tuple(tuple(lab.name for lab in chain_rank(complex, d)[1]) for d in (0, 1, 2))
+    labels = tuple(tuple(lab.name for lab in degree) for degree in complex.layout.labels)
     snf1, snf2 = smith_normal_form(d1), smith_normal_form(d2)
 
     # Degree 0: plain cokernel of the degree-1 differential.
@@ -154,12 +154,11 @@ def chain_vector(report: HomologyReport, degree: int, candidate: Mapping[str, in
     items = candidate.items() if isinstance(candidate, Mapping) else candidate
     vector = [0] * len(labels)
     for label, coeff in items:
-        try:
-            vector[labels.index(label)] += int(coeff)
-        except ValueError:
-            raise UnknownGeneratorError(
-                f"{label!r} is not a degree-{degree} generator of {report.group_name}"
-            ) from None
+        if label not in labels:
+            raise UnknownGeneratorError(f"{label!r} is not a degree-{degree} generator of {report.group_name}")
+        if type(coeff) is not int:
+            raise TypeError(f"coefficient of {label!r} is {type(coeff).__name__} ({coeff!r}), not int")
+        vector[labels.index(label)] += coeff
     return vector
 
 

@@ -30,7 +30,8 @@ class IntegerMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
-        """Build from a row list; ``cols`` pins the width of an empty matrix."""
+        """Build from a row list of ``int``s (anything else, a float or a bool
+        too, is a ``TypeError``); ``cols`` pins the width of an empty matrix."""
         nrows = len(rows)
         if nrows == 0:
             return IntegerMatrix(0, cols or 0, ())
@@ -39,7 +40,11 @@ class IntegerMatrix:
             raise ValueError("ragged rows")
         if cols is not None and cols != ncols:
             raise ValueError(f"rows have {ncols} entries, expected {cols}")
-        return IntegerMatrix(nrows, ncols, tuple(int(v) for r in rows for v in r))
+        entries = tuple(v for r in rows for v in r)
+        if not set(map(type, entries)) <= {int}:
+            bad = next(v for v in entries if type(v) is not int)
+            raise TypeError(f"matrix entries are int, not {type(bad).__name__} ({bad!r})")
+        return IntegerMatrix(nrows, ncols, entries)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "IntegerMatrix":
@@ -50,9 +55,16 @@ class IntegerMatrix:
         return IntegerMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @staticmethod
+    def diagonal(rows: int, cols: int, values: Sequence[int]) -> "IntegerMatrix":
+        """The rows x cols matrix with ``values`` down its diagonal, zero elsewhere."""
+        entries = [0] * (rows * cols)
+        for i, v in enumerate(values):
+            entries[i * cols + i] = v
+        return IntegerMatrix(rows, cols, tuple(entries))
+
+    @staticmethod
     def column(values: Iterable[int]) -> "IntegerMatrix":
-        vals = tuple(int(v) for v in values)
-        return IntegerMatrix(len(vals), 1, vals)
+        return IntegerMatrix.from_rows([[v] for v in values], cols=1)
 
     def entry(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
@@ -110,14 +122,19 @@ class SNFDecomposition:
     ``kernel`` reads ker(A) off Q and ``cokernel`` coker(A) off P_inv, so
     one reduction of A answers both.  The reduction logs its row and column
     operations; each of P, P_inv, Q and Q_inv is built from its log on
-    first read, so a caller pays only for the transforms it reads.
+    first read, so a caller pays only for the transforms it reads; D is
+    built from the invariant factors, also on first read.
     """
 
     matrix: IntegerMatrix
-    D: IntegerMatrix
     invariant_factors: tuple[int, ...]
     row_ops: list[tuple[int, int, int]] = field(repr=False, compare=False)
     col_ops: list[tuple[int, int, int]] = field(repr=False, compare=False)
+
+    @cached_property
+    def D(self) -> IntegerMatrix:
+        """diag(invariant factors), padded with zeros to the shape of the matrix."""
+        return IntegerMatrix.diagonal(self.matrix.rows, self.matrix.cols, self.invariant_factors)
 
     @cached_property
     def P(self) -> IntegerMatrix:
@@ -257,16 +274,9 @@ def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
         if w.d[t][t] < 0:
             w.row_negate(t)
         t += 1
-    factors = []
-    for i in range(min(m, n)):
-        v = w.d[i][i]
-        if v == 0:
-            break
-        factors.append(abs(v))
     return SNFDecomposition(
         matrix=a,
-        D=IntegerMatrix.from_rows(w.d, cols=n),
-        invariant_factors=tuple(factors),
+        invariant_factors=tuple(w.d[i][i] for i in range(t)),  # t is the rank; pivots are positive
         row_ops=w.row_ops,
         col_ops=w.col_ops,
     )
@@ -315,9 +325,8 @@ def _clear_cross(w: _Worker, t: int) -> None:
 
 
 def _force_divisibility(w: _Worker, t: int) -> None:
-    """Make the pivot divide every entry of the remaining block."""
-    while True:
-        piv = w.d[t][t]
+    """Make the pivot divide every entry of the remaining block; a unit pivot already does."""
+    while (piv := w.d[t][t]) not in (1, -1):
         offender = None
         for i in range(t + 1, w.m):
             row = w.d[i]

@@ -31,6 +31,8 @@ _FORMATS = {
 }
 _TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
 _SPEC_TYPES = {dict: dict, list: list, _NonEmpty: list, range: int}
+#: Unexpected keys named in a message; the rest are only counted.
+_EXTRA_KEYS_SHOWN = 5
 
 
 def _shown(value) -> str:
@@ -66,7 +68,10 @@ def _reason(value, spec) -> str | None:
         extra = sorted((key for key in value if key not in spec), key=str)
         if extra:
             were = "was" if len(extra) == 1 else "were"
-            return f"Additional properties are not allowed ({', '.join(map(repr, extra))} {were} unexpected)"
+            shown = ", ".join(map(_shown, extra[:_EXTRA_KEYS_SHOWN]))
+            if len(extra) > _EXTRA_KEYS_SHOWN:
+                shown += f" and {len(extra) - _EXTRA_KEYS_SHOWN} more"
+            return f"Additional properties are not allowed ({shown} {were} unexpected)"
     return None
 
 

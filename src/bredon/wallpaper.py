@@ -55,11 +55,6 @@ _RECORDS = {
     ]
 }
 
-_GROUP_ORDER = (
-    "p1", "p2", "pm", "pg", "cm", "pmm", "pmg", "pgg", "cmm",
-    "p4", "p4m", "p4g", "p3", "p3m1", "p31m", "p6", "p6m",
-)
-
 # Cell structures: orbits are (id, dim, stabilizer, label stem); boundary
 # terms are (source, target, sign, embedding id).  A 2-cell term pair with
 # opposite signs on the same edge orbit encodes an edge traversed twice by
@@ -435,7 +430,7 @@ class UnknownGroupError(KeyError):
 
 def list_groups() -> list[str]:
     """The 17 group names in their conventional order."""
-    return list(_GROUP_ORDER)
+    return list(_RECORDS)
 
 
 @lru_cache(maxsize=None)

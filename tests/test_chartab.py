@@ -70,6 +70,11 @@ def test_d4_names():
     assert build_table("D4").irreducible_names() == ("chi_1", "chi_2", "chi_3", "chi_4", "phi")
 
 
+def test_group_ids_are_the_tabulated_groups():
+    assert chartab.GROUP_IDS == ("C1", "C2", "C3", "C4", "C6", "D2", "D3", "D4", "D6")
+    assert set(chartab.GROUP_ORDERS) == set(chartab.GROUP_IDS)
+
+
 @pytest.mark.parametrize("gid", chartab.GROUP_IDS)
 def test_table_structure(gid):
     t = build_table(gid)

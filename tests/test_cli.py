@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -372,6 +373,21 @@ def test_shallowest_violation_is_reported():
         schemas.check([[1.5], 3], "matrix")
 
 
+@pytest.mark.parametrize(
+    "extra, listed",
+    [
+        (["x"], "'x' was"),
+        (["y", "x", "z"], "'x', 'y', 'z' were"),
+        ([f"k{i}" for i in range(7)], "'k0', 'k1', 'k2', 'k3', 'k4' and 2 more were"),
+    ],
+)
+def test_unexpected_keys_are_listed_up_to_five(extra, listed):
+    data = {**CUSTOM_COMPLEX, **{key: 1 for key in extra}}
+    message = f"invalid complex at (root): Additional properties are not allowed ({listed} unexpected)"
+    with pytest.raises(schemas.SchemaError, match=f"^{re.escape(message)}$"):
+        schemas.check(data, "complex")
+
+
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
@@ -411,6 +427,12 @@ def test_unparseable_json_is_invalid_input(capsys, tmp_path, command, text, reas
             json.dumps(_custom_complex_with(("orbits", 0, "dim"), 10**4000)),
             "orbits/0/dim",
             id="long-dim",
+        ),
+        pytest.param(
+            ["dump", "--from-file"],
+            json.dumps({**CUSTOM_COMPLEX, **{f"k{i}": i for i in range(3000)}}),
+            "(root)",
+            id="many-extra-keys",
         ),
     ],
 )

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import jsonschema
 import pytest
 
@@ -176,6 +178,22 @@ def test_every_computed_generator_is_needed(reports, name, degree):
 def test_unknown_label_raises(reports):
     with pytest.raises(UnknownGeneratorError):
         verify_basis(reports["p2"], 0, [{"alpha_9^9": 1}])
+
+
+@pytest.mark.parametrize(
+    "candidates",
+    [
+        [{"beta_0": 1.5}, {"beta_1": 1}],  # once truncated to 1 and accepted
+        [{"beta_0": 0.9}, {"beta_1": 1}],  # once read as 0
+        [{"beta_0": Fraction(1)}, {"beta_1": 1}],
+        [(("beta_0", 1.0),), (("beta_1", 1),)],
+        [{"beta_0": True}, {"beta_1": 1}],
+    ],
+)
+def test_non_int_coefficients_raise(reports, candidates):
+    with pytest.raises(TypeError, match="not int"):
+        verify_basis(reports["pg"], 1, candidates)
+    assert verify_basis(reports["pg"], 1, [{"beta_0": 1}, {"beta_1": 1}]).accepted
 
 
 def test_empty_candidates_accept_exactly_for_trivial_group(reports):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,15 @@ def matrices(draw, max_dim=6, bound=9):
         st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=m, max_size=m)
     )
     return IntegerMatrix.from_rows(rows, cols=n)
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, Fraction(5, 2), Fraction(2), True, "2"])
+def test_non_int_entries_raise(bad):
+    # int() would truncate 2.7 to 2 and read "2" as 2
+    with pytest.raises(TypeError, match="matrix entries are int"):
+        IntegerMatrix.from_rows([[1, 0], [0, bad]])
+    with pytest.raises(TypeError, match="matrix entries are int"):
+        IntegerMatrix.column([1, bad])
 
 
 def test_one_by_one():

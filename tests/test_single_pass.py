@@ -1,7 +1,9 @@
-"""The engine reduces each differential once and assembles it once.
+"""The engine reduces each differential once, assembles it once and
+derives each complex's chain layout once.
 
 Counts are taken by patching ``intlinalg._Worker`` (one per Smith normal
-form) and every binding of ``gcw.assemble_differential``; the transforms
+form), every binding of ``gcw.assemble_differential`` and
+``chartab.build_table`` (the lookups made from ``gcw``); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
 counted by patching ``intlinalg._replay``.  The verdicts of
 ``verify_basis`` are checked against the kernel-coordinate algorithm it
@@ -9,6 +11,7 @@ replaced, rebuilt here from ``kernel_basis``, ``solve_integer`` and
 ``cokernel`` of the tests' ``snf_helpers``.
 """
 
+import dataclasses
 import io
 import random
 import sys
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bredon import cli, gcw, intlinalg, wallpaper
+from bredon import chartab, cli, gcw, intlinalg, wallpaper
 from bredon.homology import chain_vector, compute_homology, verify_basis
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
 from snf_helpers import cokernel, kernel_basis, solve_integer
@@ -113,6 +116,24 @@ def test_verify_basis_runs_one_snf_and_no_assembly(reports, tally, degree):
         tally.clear()
         assert verify_basis(reports[name], degree, list(group.torsion_basis) + list(group.basis))
         assert tally == {"snf": 1}, name
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_compute_homology_derives_the_layout_once(monkeypatch, name):
+    # one character-table lookup per orbit gives the labels and offsets of every degree
+    calls = Counter()
+    build_table = chartab.build_table
+
+    def counting_build_table(group_id):
+        calls[sys._getframe(1).f_globals["__name__"]] += 1
+        return build_table(group_id)
+
+    monkeypatch.setattr(chartab, "build_table", counting_build_table)
+    complex = dataclasses.replace(wallpaper.get_group(name)[0])  # a fresh, unread layout
+    compute_homology(complex)
+    assert calls["bredon.gcw"] == len(complex.orbits)
+    compute_homology(complex)
+    assert calls["bredon.gcw"] == len(complex.orbits)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)

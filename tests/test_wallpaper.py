@@ -8,9 +8,12 @@ DIHEDRAL = {"D2", "D3", "D4", "D6"}
 
 
 def test_seventeen_groups_in_order():
-    assert len(ALL_GROUPS) == 17
-    assert ALL_GROUPS[0] == "p1" and ALL_GROUPS[-1] == "p6m"
-    assert len(set(ALL_GROUPS)) == 17
+    assert ALL_GROUPS == [
+        "p1", "p2", "pm", "pg", "cm", "pmm", "pmg", "pgg", "cmm",
+        "p4", "p4m", "p4g", "p3", "p3m1", "p31m", "p6", "p6m",
+    ]
+    # every group has a record and a cell structure, listed in the same order
+    assert list(wallpaper._CELLS) == ALL_GROUPS
 
 
 def test_unknown_group():
