@@ -7,73 +7,37 @@ rings of the finite cell stabilizers.  The pieces are reusable on their
 own: character tables with restriction/induction (``chartab``), Smith
 normal form with unimodular transforms (``intlinalg``), equivariant cell
 structures (``gcw``, ``wallpaper``) and the homology engine with basis
-verification (``homology``).
+verification (``homology``).  Importing the package loads none of them:
+each name in ``__all__`` is imported from its module on first use (PEP 562).
 """
 
-from .chartab import (
-    CharacterTable,
-    ConjugacyClass,
-    SubgroupEmbedding,
-    build_table,
-    induction_matrix,
-    inner_product,
-    registered_embeddings,
-    restriction_matrix,
-)
-from .cyclotomic import Cyclotomic
-from .gcw import (
-    BoundaryTerm,
-    CellOrbit,
-    EquivariantComplex,
-    GeneratorLabel,
-    assemble_differential,
-    chain_rank,
-    validate,
-)
-from .homology import (
-    BasisVerdict,
-    HomologyGroup,
-    HomologyReport,
-    compute_homology,
-    verify_basis,
-)
-from .intlinalg import (
-    CokernelPresentation,
-    IntegerMatrix,
-    SNFDecomposition,
-    smith_normal_form,
-)
-from .wallpaper import GroupRecord, get_group, list_groups
-
-__all__ = [
-    "BasisVerdict",
-    "BoundaryTerm",
-    "CellOrbit",
-    "CharacterTable",
-    "CokernelPresentation",
-    "ConjugacyClass",
-    "Cyclotomic",
-    "EquivariantComplex",
-    "GeneratorLabel",
-    "GroupRecord",
-    "HomologyGroup",
-    "HomologyReport",
-    "IntegerMatrix",
-    "SNFDecomposition",
-    "SubgroupEmbedding",
-    "assemble_differential",
-    "build_table",
-    "chain_rank",
-    "compute_homology",
-    "get_group",
-    "induction_matrix",
-    "inner_product",
-    "list_groups",
-    "registered_embeddings",
-    "restriction_matrix",
-    "smith_normal_form",
-    "validate",
-    "verify_basis",
-]
+#: The module that defines each public name.
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("chartab", "CharacterTable ConjugacyClass SubgroupEmbedding build_table induction_matrix inner_product "
+         "registered_embeddings restriction_matrix"),
+        ("cyclotomic", "Cyclotomic"),
+        ("gcw", "BoundaryTerm CellOrbit EquivariantComplex GeneratorLabel assemble_differential chain_rank validate"),
+        ("homology", "BasisVerdict HomologyGroup HomologyReport compute_homology verify_basis"),
+        ("intlinalg", "CokernelPresentation IntegerMatrix SNFDecomposition smith_normal_form"),
+        ("wallpaper", "GroupRecord get_group list_groups"),
+    )
+    for name in names.split()
+}
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

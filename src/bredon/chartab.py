@@ -2,9 +2,10 @@
 
 The nine groups that occur as cell stabilizers (C1, C2, C3, C4, C6, D2,
 D3, D4, D6) are small and fixed, so their conjugacy classes and character
-tables are embedded as literal data and validated at load time by exact
-row orthogonality.  All character values lie in Z[zeta_12], so the inner
-product sums with ``int`` coefficients and divides by |G| once, at the end.
+tables are embedded as literal data.  ``build_table`` checks each by exact
+row orthogonality when it first builds it (validating the embedding catalog
+at import builds all nine): all character values lie in Z[zeta_12], so |G|
+times each inner product is an ``int`` sum over their coefficient tuples.
 Restriction along a subgroup embedding is computed by pulling class values
 back through the embedding's class map; induction is its adjoint under the
 character inner product (Frobenius reciprocity), so its matrix is the
@@ -26,12 +27,11 @@ that restriction and induction of characters depend on.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
 
-from .cyclotomic import Cyclotomic, I, OMEGA3, OMEGA6
+from .cyclotomic import Cyclotomic, I, hermitian_sum
 from .intlinalg import IntegerMatrix
 
 GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6, "D2": 4, "D3": 6, "D4": 8, "D6": 12}
@@ -43,6 +43,8 @@ class CharacterTableError(ValueError):
 
 @dataclass(frozen=True)
 class ConjugacyClass:
+    """One conjugacy class: its label, size and element order."""
+
     label: str
     size: int
     element_order: int
@@ -50,6 +52,8 @@ class ConjugacyClass:
 
 @dataclass(frozen=True)
 class Irreducible:
+    """One irreducible character: its name and its values by class."""
+
     name: str
     values: tuple[Cyclotomic, ...]
 
@@ -105,12 +109,7 @@ def _cy(v) -> Cyclotomic:
     return v if isinstance(v, Cyclotomic) else Cyclotomic.of(v)
 
 
-_W3 = OMEGA3
-_W3_2 = OMEGA3 * OMEGA3
-_W6 = OMEGA6
-_W6_2 = OMEGA6 * OMEGA6
-_W6_4 = _W6_2 * _W6_2
-_W6_5 = _W6_4 * OMEGA6
+_zeta = Cyclotomic.zeta_pow  # omega_3 = zeta^4, omega_6 = zeta^2
 
 # classes: (label, size, element order); irreducibles: (name, values by class).
 _TABLE_DATA: dict[str, tuple[list[tuple[str, int, int]], list[tuple[str, list]]]] = {
@@ -126,8 +125,8 @@ _TABLE_DATA: dict[str, tuple[list[tuple[str, int, int]], list[tuple[str, list]]]
         [("e", 1, 1), ("r", 1, 3), ("r2", 1, 3)],
         [
             ("chi_1", [1, 1, 1]),
-            ("chi_2", [1, _W3, _W3_2]),
-            ("chi_3", [1, _W3_2, _W3]),
+            ("chi_2", [1, _zeta(4), _zeta(8)]),
+            ("chi_3", [1, _zeta(8), _zeta(4)]),
         ],
     ),
     "C4": (
@@ -143,11 +142,11 @@ _TABLE_DATA: dict[str, tuple[list[tuple[str, int, int]], list[tuple[str, list]]]
         [("e", 1, 1), ("r3", 1, 2), ("r2", 1, 3), ("r4", 1, 3), ("r", 1, 6), ("r5", 1, 6)],
         [
             ("chi_1", [1, 1, 1, 1, 1, 1]),
-            ("chi_2", [1, -1, _W6_2, _W6_4, _W6, _W6_5]),
-            ("chi_3", [1, 1, _W6_4, _W6_2, _W6_2, _W6_4]),
+            ("chi_2", [1, -1, _zeta(4), _zeta(8), _zeta(2), _zeta(10)]),
+            ("chi_3", [1, 1, _zeta(8), _zeta(4), _zeta(4), _zeta(8)]),
             ("chi_4", [1, -1, 1, 1, -1, -1]),
-            ("chi_5", [1, 1, _W6_2, _W6_4, _W6_4, _W6_2]),
-            ("chi_6", [1, -1, _W6_4, _W6_2, _W6_5, _W6]),
+            ("chi_5", [1, 1, _zeta(4), _zeta(8), _zeta(8), _zeta(4)]),
+            ("chi_6", [1, -1, _zeta(8), _zeta(4), _zeta(10), _zeta(2)]),
         ],
     ),
     "D2": (
@@ -223,23 +222,27 @@ def _check_table(t: CharacterTable) -> None:
         raise CharacterTableError(f"{t.group_id}: classes not sorted by element order")
     for i, chi in enumerate(t.irreducibles):
         for j, psi in enumerate(t.irreducibles):
-            expected = Fraction(1 if i == j else 0)
-            if inner_product(chi.values, psi.values, t) != expected:
+            if _pairing(chi.values, psi.values, t) != (t.order if i == j else 0):
                 raise CharacterTableError(f"{t.group_id}: row orthogonality fails for {chi.name}, {psi.name}")
+
+
+def _pairing(f: Sequence[Cyclotomic], g: Sequence[Cyclotomic], table: CharacterTable):
+    """|G| times the inner product of f and g: an ``int`` for class functions in Z[zeta_12]."""
+    if len(f) != len(table.classes) or len(g) != len(table.classes):
+        raise CharacterTableError(f"class function length mismatch for {table.group_id}")
+    total = hermitian_sum((c.size for c in table.classes), map(_cy, f), map(_cy, g))
+    if any(total[1:]):
+        raise CharacterTableError("inner product is not rational")
+    return total[0]
 
 
 def inner_product(
     f: Sequence[Cyclotomic], g: Sequence[Cyclotomic], table: CharacterTable
 ) -> Fraction:
     """(1/|G|) * sum over classes of size * f(c) * conj(g(c)), as an exact rational."""
-    if len(f) != len(table.classes) or len(g) != len(table.classes):
-        raise CharacterTableError(f"class function length mismatch for {table.group_id}")
-    total = Cyclotomic.of(0)
-    for cls, fv, gv in zip(table.classes, f, g):
-        total = total + _cy(fv) * _cy(gv).conjugate() * cls.size
-    if not total.is_rational():
-        raise CharacterTableError("inner product is not rational")
-    return Fraction(total.as_rational(), table.order)
+    from fractions import Fraction
+
+    return Fraction(_pairing(f, g, table), table.order)
 
 
 def validate_embedding(emb: SubgroupEmbedding) -> None:
@@ -270,12 +273,13 @@ def restriction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
         pulled = tuple(psi.values[sup.class_index(emb.mapped(c.label))] for c in sub.classes)
         col = []
         for chi in sub.irreducibles:
-            coeff = inner_product(pulled, chi.values, sub)
-            if coeff.denominator != 1 or coeff < 0:
+            coeff, remainder = divmod(_pairing(pulled, chi.values, sub), sub.order)
+            if remainder or coeff < 0:
+                coeff = inner_product(pulled, chi.values, sub)  # the exact rational, for the message
                 raise CharacterTableError(
                     f"{emb.embedding_id}: restriction of {psi.name} decomposes with coefficient {coeff}"
                 )
-            col.append(int(coeff))
+            col.append(coeff)
         cols.append(col)
     return IntegerMatrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(sub.rank)], cols=sup.rank)
 
@@ -290,21 +294,17 @@ def induction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
     return restriction_matrix(emb).transpose()
 
 
-def _span(pairs: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(pairs.items())
-
-
 def _identity_embedding(g: str) -> SubgroupEmbedding:
     labels = [c.label for c in build_table(g).classes]
-    return SubgroupEmbedding(f"{g}->{g}", g, g, _span({x: x for x in labels}))
+    return SubgroupEmbedding(f"{g}->{g}", g, g, tuple((x, x) for x in labels))
 
 
 def _trivial_embedding(g: str) -> SubgroupEmbedding:
-    return SubgroupEmbedding(f"C1->{g}", "C1", g, _span({"e": "e"}))
+    return SubgroupEmbedding(f"C1->{g}", "C1", g, (("e", "e"),))
 
 
 def _c2_embedding(sup: str, target_class: str, eid: str | None = None) -> SubgroupEmbedding:
-    return SubgroupEmbedding(eid or f"C2->{sup}[{target_class}]", "C2", sup, _span({"e": "e", "z": target_class}))
+    return SubgroupEmbedding(eid or f"C2->{sup}[{target_class}]", "C2", sup, (("e", "e"), ("z", target_class)))
 
 
 def _build_catalog() -> dict[str, SubgroupEmbedding]:

@@ -17,7 +17,6 @@ Exit codes: 0 success / all checks pass, 1 verification mismatch,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import chartab, gcw, homology, reference, schemas, wallpaper
@@ -45,6 +44,8 @@ class _UnreadableInput(ValueError):
 
 def _read_json(path: str, stdin: bool = False):
     """Parse the JSON document at ``path`` (``-`` is stdin when ``stdin``)."""
+    import json
+
     try:
         if stdin and path == "-":
             return json.load(sys.stdin)
@@ -56,6 +57,12 @@ def _read_json(path: str, stdin: bool = False):
         raise _UnreadableInput(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:  # an integer literal over the digit limit; nesting too deep
         raise _UnreadableInput(f"{path}: {exc}") from None
+
+
+def _print_json(payload) -> None:
+    import json  # only the commands that write JSON load it
+
+    print(json.dumps(payload, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +108,13 @@ def _print_extras(rep, show_differentials: bool, show_snf: bool) -> None:
 def cmd_compute(args) -> int:
     if args.group is None and not args.all:
         return _fail_usage("compute: give a group name or --all")
+    if not args.all and args.group not in wallpaper.list_groups():
+        return _fail_usage(f"unknown group {args.group!r}; valid names: {', '.join(wallpaper.list_groups())}")
     names = wallpaper.list_groups() if args.all else [args.group]
-    for name in names:
-        if name not in wallpaper.list_groups():
-            return _fail_usage(
-                f"unknown group {name!r}; valid names: {', '.join(wallpaper.list_groups())}"
-            )
     reports = [homology.compute_homology(wallpaper.get_group(name)[0]) for name in names]
     if args.format == "json":
         payload = [homology.report_to_json_dict(rep) for rep in reports]
-        print(json.dumps(payload[0] if not args.all else payload, indent=2))
+        _print_json(payload[0] if not args.all else payload)
     else:
         print(_report_rows(reports))
         for rep in reports:
@@ -225,13 +229,11 @@ def cmd_dump(args) -> int:
     if args.dump_complex:
         name = args.dump_complex
         if name not in wallpaper.list_groups():
-            return _fail_usage(
-                f"unknown group {name!r}; valid names: {', '.join(wallpaper.list_groups())}"
-            )
+            return _fail_usage(f"unknown group {name!r}; valid names: {', '.join(wallpaper.list_groups())}")
         print(gcw.to_json(wallpaper.get_group(name)[0]))
         return EXIT_OK
     if args.dump_tables:
-        print(json.dumps(_serialize_tables(), indent=2))
+        _print_json(_serialize_tables())
         return EXIT_OK
 
     try:
@@ -258,7 +260,7 @@ def cmd_snf(args) -> int:
         data = _read_json(args.matrix, stdin=True)
         schemas.check(data, "matrix")
         matrix = IntegerMatrix.from_rows(data)
-    except ValueError as exc:  # unreadable input, schema violations, ragged rows
+    except ValueError as exc:  # unreadable input or schema violations
         return _fail_input(str(exc))
     snf = smith_normal_form(matrix)
     factors, matrices = list(snf.invariant_factors), {"D": snf.D, "P": snf.P, "Q": snf.Q}
@@ -270,7 +272,7 @@ def cmd_snf(args) -> int:
     try:
         if args.format == "json":
             payload = {"invariant_factors": factors, **{name: mat.to_rows() for name, mat in matrices.items()}}
-            print(json.dumps(payload, indent=2))
+            _print_json(payload)
         else:
             print(f"invariant factors: {factors}")
             for name, mat in matrices.items():

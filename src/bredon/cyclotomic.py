@@ -14,16 +14,22 @@ point anywhere: any other coefficient type is a ``TypeError``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 
-Rational = Fraction | int
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # ``fractions`` is imported only where a coefficient is not an int
+    from fractions import Fraction
+
+    Rational = Fraction | int
 
 
 def _exact(v: Rational) -> Rational:
     """An exact coefficient: an ``int``, or a ``Fraction`` that is not integral."""
     if isinstance(v, int):
         return v
+    from fractions import Fraction
+
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else v
     raise TypeError(f"cyclotomic coefficients are int or Fraction, not {type(v).__name__}")
@@ -42,20 +48,10 @@ class Cyclotomic:
     @staticmethod
     def zeta_pow(k: int) -> "Cyclotomic":
         """zeta_12 ** k for any integer k."""
-        k %= 12
-        # x^4 = x^2 - 1 and x^6 = -1 give the residues of all powers.
-        table = {
-            0: (1, 0, 0, 0),
-            1: (0, 1, 0, 0),
-            2: (0, 0, 1, 0),
-            3: (0, 0, 0, 1),
-            4: (-1, 0, 1, 0),
-            5: (0, -1, 0, 1),
-        }
-        a, b, c, d = table[k % 6]
-        if k >= 6:
-            a, b, c, d = -a, -b, -c, -d
-        return Cyclotomic.of(a, b, c, d)
+        coeffs = (1, 0, 0, 0)
+        for _ in range(k % 12):
+            coeffs = _times(coeffs, (0, 1, 0, 0))
+        return Cyclotomic(coeffs)
 
     def __add__(self, other: "Cyclotomic | Rational") -> "Cyclotomic":
         o = _coerce(other)
@@ -73,27 +69,13 @@ class Cyclotomic:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "Cyclotomic | Rational") -> "Cyclotomic":
-        o = _coerce(other)
-        prod = [0] * 7
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(o.coeffs):
-                    prod[i + j] += x * y
-        # Reduce degrees 6..4 via x^4 = x^2 - 1 (hence x^5 = x^3 - x, x^6 = -1).
-        prod[0] -= prod[6]
-        prod[1] -= prod[5]
-        prod[3] += prod[5]
-        prod[2] += prod[4]
-        prod[0] -= prod[4]
-        return Cyclotomic((prod[0], prod[1], prod[2], prod[3]))
+        return Cyclotomic(_times(self.coeffs, _coerce(other).coeffs))
 
     __rmul__ = __mul__
 
     def conjugate(self) -> "Cyclotomic":
         """Complex conjugation: the substitution x -> x^11, reduced."""
-        a, b, c, d = self.coeffs
-        # x^11 = x - x^3, x^22 = 1 - x^2, x^33 = -x^3.
-        return Cyclotomic((a + c, b, -c, -b - d))
+        return Cyclotomic(_conjugate(self.coeffs))
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:])
@@ -107,10 +89,11 @@ class Cyclotomic:
         return not any(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(other)
         if not isinstance(other, Cyclotomic):
-            return NotImplemented
+            try:
+                other = _coerce(other)
+            except TypeError:  # neither an int nor a Fraction
+                return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
@@ -132,6 +115,32 @@ def _coerce(v: "Cyclotomic | Rational") -> Cyclotomic:
     if isinstance(v, Cyclotomic):
         return v
     return Cyclotomic.of(v)
+
+
+def _times(p: tuple, q: tuple) -> tuple:
+    """The product of two coefficient 4-tuples, reduced mod x^4 - x^2 + 1."""
+    prod = [0] * 7
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q):
+                prod[i + j] += x * y
+    # Reduce degrees 6..4 via x^4 = x^2 - 1 (hence x^5 = x^3 - x, x^6 = -1).
+    return prod[0] - prod[6] - prod[4], prod[1] - prod[5], prod[2] + prod[4], prod[3] + prod[5]
+
+
+def _conjugate(coeffs: tuple) -> tuple:
+    a, b, c, d = coeffs
+    # x^11 = x - x^3, x^22 = 1 - x^2, x^33 = -x^3.
+    return a + c, b, -c, -b - d
+
+
+def hermitian_sum(weights: Iterable[int], f: Iterable[Cyclotomic], g: Iterable[Cyclotomic]) -> tuple:
+    """The coefficient 4-tuple of sum_k w_k * f_k * conj(g_k), summed without building a ``Cyclotomic``."""
+    total = [0, 0, 0, 0]
+    for w, x, y in zip(weights, f, g):
+        for k, v in enumerate(_times(x.coeffs, _conjugate(y.coeffs))):
+            total[k] += w * v
+    return tuple(total)
 
 
 #: i, the primitive 4th root (zeta^3).

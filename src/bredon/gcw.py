@@ -11,10 +11,10 @@ of the cell dimension, with the irreducible index as superscript.
 
 from __future__ import annotations
 
-import json
+from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, NamedTuple, Sequence
 
 from . import chartab
 from .intlinalg import IntegerMatrix
@@ -30,6 +30,8 @@ class InvalidComplexError(ValueError):
 
 @dataclass(frozen=True)
 class CellOrbit:
+    """An orbit of cells of one dimension, with its stabilizer and generator label stem."""
+
     orbit_id: str
     dimension: int
     stabilizer: str
@@ -38,6 +40,8 @@ class CellOrbit:
 
 @dataclass(frozen=True)
 class BoundaryTerm:
+    """A signed boundary term from a source orbit to a target orbit along an embedding."""
+
     source: str
     target: str
     sign: int
@@ -46,6 +50,8 @@ class BoundaryTerm:
 
 @dataclass(frozen=True)
 class GeneratorLabel:
+    """One generator of a chain group: its orbit id and its printed name."""
+
     cell: str
     name: str
 
@@ -53,20 +59,18 @@ class GeneratorLabel:
         return self.name
 
 
-class ChainLayout(NamedTuple):
-    """Orbits by id; per degree d, the generators and the offset of each orbit's block."""
-
-    orbits: dict[str, CellOrbit]
-    labels: tuple[tuple[GeneratorLabel, ...], ...]
-    offsets: tuple[dict[str, int], ...]
+ChainLayout = namedtuple("ChainLayout", ("orbits", "labels", "offsets"))
+ChainLayout.__doc__ = """Orbits by id; per degree d, the generators and the offset of each orbit's block."""
 
 
 @dataclass(frozen=True)
 class EquivariantComplex:
+    """Cell orbits and boundary terms of a 2-dimensional equivariant complex."""
+
     group_name: str
     orbits: tuple[CellOrbit, ...]
     boundary: tuple[BoundaryTerm, ...]
-    metadata: Any = field(default=None, compare=False)
+    metadata: object = field(default=None, compare=False)
 
     def orbits_of_dimension(self, d: int) -> tuple[CellOrbit, ...]:
         return tuple(o for o in self.orbits if o.dimension == d)
@@ -218,10 +222,12 @@ def to_json_dict(complex: EquivariantComplex) -> dict:
 
 
 def to_json(complex: EquivariantComplex) -> str:
+    import json
+
     return json.dumps(to_json_dict(complex), indent=2)
 
 
-def from_json_dict(data: dict, metadata: Any = None) -> EquivariantComplex:
+def from_json_dict(data: dict, metadata: object = None) -> EquivariantComplex:
     from . import schemas
 
     schemas.check(data, "complex")

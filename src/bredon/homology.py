@@ -16,9 +16,8 @@ Smith-normal-form cokernel in chain coordinates.
 
 from __future__ import annotations
 
-import json
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
 from .gcw import EquivariantComplex, InvalidComplexError, differentials  # noqa: F401
@@ -34,6 +33,8 @@ class UnknownGeneratorError(KeyError):
 
 @dataclass(frozen=True)
 class HomologyGroup:
+    """H_degree = Z^free_rank + sum of Z/d over torsion, with generating chains."""
+
     degree: int
     free_rank: int
     torsion: tuple[int, ...]
@@ -55,6 +56,8 @@ class HomologyGroup:
 
 @dataclass(frozen=True)
 class HomologyReport:
+    """The homology in degrees 0..2 of one complex, with its differentials and labels."""
+
     group_name: str
     groups: tuple[HomologyGroup, HomologyGroup, HomologyGroup]  # degrees 0, 1, 2
     labels: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
@@ -138,6 +141,8 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
 
 @dataclass(frozen=True)
 class BasisVerdict:
+    """The verdict of ``verify_basis`` and its reason; true when accepted."""
+
     accepted: bool
     detail: str
 
@@ -248,6 +253,8 @@ def report_to_json_dict(report: HomologyReport) -> dict:
 
 
 def report_to_json(report: HomologyReport) -> str:
+    import json
+
     return json.dumps(report_to_json_dict(report), indent=2)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Each format is declared as data shaped like the document it accepts: a
 dict is an object with exactly those keys, a list an array of its one
 item spec, ``str`` and ``int`` the JSON types (``int`` admits neither
 ``true``/``false`` nor floats such as ``2.0``), a ``range`` an integer
-interval and a tuple the allowed values.  The document is checked level
+interval and a tuple the allowed values.  An array of arrays is a matrix:
+every row must be as long as the first.  The document is checked level
 by level, so the violation reported is the one closest to the root.
 """
 
@@ -21,6 +22,10 @@ class _NonEmpty(list):
     """An array spec that also requires at least one item."""
 
 
+class _Row(list):
+    """A matrix row: an array spec with exactly one item spec per item."""
+
+
 _FORMATS = {
     "complex": {
         "group": str,
@@ -30,7 +35,7 @@ _FORMATS = {
     "matrix": [[int]],
 }
 _TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
-_SPEC_TYPES = {dict: dict, list: list, _NonEmpty: list, range: int}
+_SPEC_TYPES = {dict: dict, list: list, _NonEmpty: list, _Row: list, range: int}
 #: Unexpected keys named in a message; the rest are only counted.
 _EXTRA_KEYS_SHOWN = 5
 
@@ -61,6 +66,8 @@ def _reason(value, spec) -> str | None:
         return f"{_shown(value)} is greater than the maximum of {spec[-1]}"
     if isinstance(spec, _NonEmpty) and not value:
         return "[] should be non-empty"
+    if isinstance(spec, _Row) and len(value) != len(spec):
+        return f"{_shown(value)} is too {'short' if len(value) < len(spec) else 'long'} (row 0 has length {len(spec)})"
     if isinstance(spec, dict):
         missing = [key for key in spec if key not in value]
         if missing:
@@ -78,8 +85,10 @@ def _reason(value, spec) -> str | None:
 def _children(path: tuple, value, spec) -> list:
     if isinstance(spec, dict):
         return [(path + (key,), value[key], item) for key, item in spec.items()]
-    if isinstance(spec, list):
-        return [(path + (i,), item, spec[0]) for i, item in enumerate(value)]
+    if isinstance(spec, list) and value:
+        matrix = isinstance(spec[0], list) and type(value[0]) is list  # rows as long as the first
+        items = _Row(spec[0] * len(value[0])) if matrix else spec[0]
+        return [(path + (i,), item, items) for i, item in enumerate(value)]
     return []
 
 

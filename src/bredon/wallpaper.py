@@ -19,6 +19,8 @@ from .gcw import BoundaryTerm, CellOrbit, EquivariantComplex
 
 @dataclass(frozen=True)
 class GroupRecord:
+    """Metadata of one wallpaper group."""
+
     name: str
     point_group: str
     split: str  # "yes" | "no" | "n/a"

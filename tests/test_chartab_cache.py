@@ -6,7 +6,7 @@ import pytest
 
 from bredon import chartab, wallpaper
 from bredon.chartab import CharacterTableError, SubgroupEmbedding, induction_matrix, inner_product
-from bredon.cyclotomic import Cyclotomic
+from bredon.cyclotomic import I, Cyclotomic
 from bredon.homology import compute_homology
 
 ALL_GROUPS = wallpaper.list_groups()
@@ -40,10 +40,40 @@ def test_catalog_has_26_embeddings():
 
 
 def test_broken_embedding_raises_on_every_call():
-    bad = SubgroupEmbedding("bad", "C2", "C4", (("e", "e"), ("z", "r")))
-    for _ in range(2):
-        with pytest.raises(CharacterTableError):
-            induction_matrix(bad)
+    for sup, message in (
+        # z -> r pulls chi_2 of C4 back to (1, i): (1 + i)/2 is not rational.
+        ("C4", "^inner product is not rational$"),
+        # z -> r pulls chi_3 of D3 back to (2, -1), which holds the trivial character 1/2 times.
+        ("D3", "^bad: restriction of chi_3 decomposes with coefficient 1/2$"),
+    ):
+        bad = SubgroupEmbedding("bad", "C2", sup, (("e", "e"), ("z", "r")))
+        for _ in range(2):
+            with pytest.raises(CharacterTableError, match=message):
+                induction_matrix(bad)
+
+
+@pytest.mark.parametrize(
+    "gid, row, values, message",
+    [
+        ("D3", 2, [2, 0, 1], "^D3: row orthogonality fails for chi_1, chi_3$"),
+        ("C4", 1, [1, -1, I, I], "^inner product is not rational$"),  # <chi_1, chi_2> = -i/2
+    ],
+)
+def test_corrupted_table_fails_its_check(monkeypatch, gid, row, values, message):
+    original = chartab.build_table(gid)
+    classes, irreducibles = chartab._TABLE_DATA[gid]
+    corrupted = list(irreducibles)
+    corrupted[row] = (irreducibles[row][0], values)
+    monkeypatch.setitem(chartab._TABLE_DATA, gid, (classes, corrupted))
+    chartab.build_table.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(CharacterTableError, match=message):
+                chartab.build_table(gid)
+    finally:
+        monkeypatch.undo()
+        chartab.build_table.cache_clear()
+    assert chartab.build_table(gid) == original
 
 
 @pytest.mark.parametrize("gid", chartab.GROUP_IDS)
@@ -54,6 +84,8 @@ def test_inner_product_is_an_exact_fraction(gid):
             value = inner_product(chi.values, psi.values, t)
             assert type(value) is Fraction
             assert value == (1 if i == j else 0)
+            pairing = chartab._pairing(chi.values, psi.values, t)  # the int sum the table check compares
+            assert type(pairing) is int and pairing == t.order * value
 
 
 @pytest.mark.parametrize("gid", chartab.GROUP_IDS)

@@ -354,7 +354,17 @@ def test_from_file_names_the_violation_path(capsys, tmp_path, keys, value, where
 
 @pytest.mark.parametrize(
     "matrix, where",
-    [({"a": 1}, "(root)"), ([[1], 2], "1"), ([[1, "x"]], "0/1"), ([[2.0, 4]], "0/0"), ([[True]], "0/0")],
+    [
+        ({"a": 1}, "(root)"),
+        ([[1], 2], "1"),
+        ([[1, "x"]], "0/1"),
+        ([[2.0, 4]], "0/0"),
+        ([[True]], "0/0"),
+        # ragged rows: a row's length is checked before its entries
+        ([[1, 2], [3]], "1"),
+        ([[1], [2, "x"]], "1"),
+        ([[1, 2], [3, 4], [5, 6, 7]], "2"),
+    ],
 )
 def test_snf_names_the_violation_path(capsys, tmp_path, matrix, where):
     path = tmp_path / "m.json"
@@ -371,6 +381,10 @@ def test_shallowest_violation_is_reported():
         schemas.check(data, "complex")
     with pytest.raises(schemas.SchemaError, match="^invalid matrix at 1: 3 is not of type 'array'$"):
         schemas.check([[1.5], 3], "matrix")
+    with pytest.raises(schemas.SchemaError, match=r"^invalid matrix at 1: \[3\] is too short \(row 0 has length 2\)$"):
+        schemas.check([[1, 2], [3]], "matrix")
+    with pytest.raises(schemas.SchemaError, match=r"^invalid matrix at 2: \[5, 6, 7\] is too long \(row 0 has length 2\)$"):
+        schemas.check([[1, 2], [3, 4], [5, 6, 7]], "matrix")
 
 
 @pytest.mark.parametrize(
