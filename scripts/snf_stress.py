@@ -3,6 +3,9 @@
 
 Draws random integer matrices, recomputes D = P*A*Q and the transform
 inverses, and checks shape, positivity and the divisibility chain.
+Trials alternate dense draws (entries up to --max-entry) with sparse 0/+-1
+draws shaped like differentials (at most 3 nonzeros per column), whose
+transforms take the zero-skipping path of the transform replay.
 Reports throughput; exits nonzero on the first violation.
 
     python scripts/snf_stress.py --count 5000 --max-dim 10 --max-entry 99
@@ -18,12 +21,23 @@ import time
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
 
 
-def check_one(rng: random.Random, max_dim: int, max_entry: int) -> str | None:
+def draw(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> IntegerMatrix:
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
-    a = IntegerMatrix.from_rows(
-        [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(m)], cols=n
-    )
+    if not sparse:
+        return IntegerMatrix.from_rows(
+            [[rng.randint(-max_entry, max_entry) for _ in range(n)] for _ in range(m)], cols=n
+        )
+    rows = [[0] * n for _ in range(m)]
+    for j in range(n):
+        for i in rng.sample(range(m), rng.randint(0, min(3, m))):
+            rows[i][j] = rng.choice((1, -1))
+    return IntegerMatrix.from_rows(rows, cols=n)
+
+
+def check_one(rng: random.Random, max_dim: int, max_entry: int, sparse: bool = False) -> str | None:
+    a = draw(rng, max_dim, max_entry, sparse)
+    m, n = a.rows, a.cols
     snf = smith_normal_form(a)
     if snf.P @ a @ snf.Q != snf.D:
         return f"D != P A Q for {a.to_rows()}"
@@ -51,7 +65,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     started = time.monotonic()
     for trial in range(args.count):
-        problem = check_one(rng, args.max_dim, args.max_entry)
+        problem = check_one(rng, args.max_dim, args.max_entry, sparse=trial % 2 == 1)
         if problem:
             print(f"trial {trial}: {problem}", file=sys.stderr)
             return 1

@@ -59,12 +59,6 @@ def _read_json(path: str, stdin: bool = False):
         raise _UnreadableInput(f"{path}: {exc}") from None
 
 
-def _print_json(payload) -> None:
-    import json  # only the commands that write JSON load it
-
-    print(json.dumps(payload, indent=2))
-
-
 # ---------------------------------------------------------------------------
 # compute
 
@@ -114,7 +108,7 @@ def cmd_compute(args) -> int:
     reports = [homology.compute_homology(wallpaper.get_group(name)[0]) for name in names]
     if args.format == "json":
         payload = [homology.report_to_json_dict(rep) for rep in reports]
-        _print_json(payload[0] if not args.all else payload)
+        print(schemas.dumps(payload[0] if not args.all else payload))
     else:
         print(_report_rows(reports))
         for rep in reports:
@@ -233,7 +227,7 @@ def cmd_dump(args) -> int:
         print(gcw.to_json(wallpaper.get_group(name)[0]))
         return EXIT_OK
     if args.dump_tables:
-        _print_json(_serialize_tables())
+        print(schemas.dumps(_serialize_tables()))
         return EXIT_OK
 
     try:
@@ -272,7 +266,7 @@ def cmd_snf(args) -> int:
     try:
         if args.format == "json":
             payload = {"invariant_factors": factors, **{name: mat.to_rows() for name, mat in matrices.items()}}
-            _print_json(payload)
+            print(schemas.dumps(payload))
         else:
             print(f"invariant factors: {factors}")
             for name, mat in matrices.items():

@@ -222,9 +222,9 @@ def to_json_dict(complex: EquivariantComplex) -> dict:
 
 
 def to_json(complex: EquivariantComplex) -> str:
-    import json
+    from .schemas import dumps
 
-    return json.dumps(to_json_dict(complex), indent=2)
+    return dumps(to_json_dict(complex))
 
 
 def from_json_dict(data: dict, metadata: object = None) -> EquivariantComplex:

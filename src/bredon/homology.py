@@ -253,9 +253,9 @@ def report_to_json_dict(report: HomologyReport) -> dict:
 
 
 def report_to_json(report: HomologyReport) -> str:
-    import json
+    from .schemas import dumps
 
-    return json.dumps(report_to_json_dict(report), indent=2)
+    return dumps(report_to_json_dict(report))
 
 
 def basis_cell(group: HomologyGroup) -> str:

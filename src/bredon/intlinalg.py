@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from collections.abc import Iterable, Sequence
 
 
@@ -237,19 +238,36 @@ def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transpose
     line_i += k * line_j by line_j -= k * line_i; swaps and negations stay),
     so the row log gives P or P_inv^T and the column log Q^T or Q_inv.  The
     result is transposed once at the end when ``transposed``.
+
+    Each row keeps the set of columns that may be nonzero, or None once it
+    may be dense.  An add from a row with at most size // 4 such columns
+    touches only those (the transforms of a unit-pivot differential are
+    mostly zeros); an add from a denser one updates the whole row.
     """
-    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    rows = [[0] * size for _ in range(size)]
+    support: list[set[int] | None] = [{i} for i in range(size)]
+    for i in range(size):
+        rows[i][i] = 1
+    sparse = size // 4
     for i, j, k in log:
+        if inverse and k and i != j:  # line_j -= k * line_i
+            i, j, k = j, i, -k
         if not k:
             rows[i], rows[j] = rows[j], rows[i]
+            support[i], support[j] = support[j], support[i]
         elif i == j:
             rows[i] = [-v for v in rows[i]]
-        elif inverse:
-            rows[j] = [a - k * b for a, b in zip(rows[j], rows[i])]
+        elif (source := support[j]) is not None and len(source) <= sparse:
+            target, line = rows[i], rows[j]
+            for c in source:
+                target[c] += k * line[c]
+            if support[i] is not None:
+                support[i] |= source
         else:
             rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            support[i] = None
     lines = zip(*rows) if transposed else rows
-    return IntegerMatrix(size, size, tuple(v for line in lines for v in line))
+    return IntegerMatrix(size, size, tuple(chain.from_iterable(lines)))
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:

@@ -1,4 +1,5 @@
-"""Checks of the two JSON formats the CLI reads: a complex and a matrix.
+"""The JSON the CLI reads and writes: checks of the two input formats, a
+complex and a matrix, and ``dumps``, the writer of every indented output.
 
 Each format is declared as data shaped like the document it accepts: a
 dict is an object with exactly those keys, a list an array of its one
@@ -104,3 +105,34 @@ def check(data, what: str) -> None:
                 where = "/".join(map(str, path)) or "(root)"
                 raise SchemaError(f"invalid {what} at {where}: {reason}")
         level = [child for node in level for child in _children(*node)]
+
+
+def dumps(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python
+    encoder that ``indent`` selects: strings go through the C string encoder
+    and a list of ``int`` (never ``bool``) is joined in one pass.  Any other
+    value is ``json.dumps``'s own text, re-indented to its depth (JSON text
+    holds no raw newline outside its layout)."""
+    import json  # only the commands that write JSON load it
+    from json.encoder import encode_basestring_ascii as quote
+
+    def write(value, pad: str) -> str:
+        kind = type(value)
+        if kind is str:
+            return quote(value)
+        if kind is int:
+            return int.__repr__(value)
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if kind is list and value:
+            if set(map(type, value)) == {int}:
+                body = sep.join(map(int.__repr__, value))
+            else:
+                body = sep.join([write(item, inner) for item in value])
+            return f"[\n{inner}{body}\n{pad}]"
+        if kind is dict and value and set(map(type, value)) == {str}:
+            body = sep.join([f"{quote(key)}: {write(item, inner)}" for key, item in value.items()])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+    return write(value, "")

@@ -2,7 +2,8 @@
 
 ``solve_integer`` is the oracle for the kernel-coordinate algorithm that
 ``verify_basis`` replaced; ``kernel_basis`` and ``cokernel`` are shorthands
-for reading one property of a fresh decomposition.
+for reading one property of a fresh decomposition; ``dense_replay`` is the
+reference for ``intlinalg._replay``, which skips zero entries.
 """
 
 from bredon.intlinalg import CokernelPresentation, IntegerMatrix, smith_normal_form
@@ -41,3 +42,20 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
             elif v:
                 return None
     return snf.Q @ IntegerMatrix.from_rows(y_rows, cols=b.cols)
+
+
+def dense_replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool) -> IntegerMatrix:
+    """``intlinalg._replay`` without the sparse path: every operation updates
+    every entry of the row it changes."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i, j, k in log:
+        if not k:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = [-v for v in rows[i]]
+        elif inverse:
+            rows[j] = [a - k * b for a, b in zip(rows[j], rows[i])]
+        else:
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    lines = zip(*rows) if transposed else rows
+    return IntegerMatrix(size, size, tuple(v for line in lines for v in line))

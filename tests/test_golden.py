@@ -10,10 +10,13 @@ recompute the digests and say why in the change log.
     python -m bredon dump --dump-tables | sha256sum
     python -m bredon compute <g> --show-differentials --show-snf | sha256sum
     python -m bredon snf <m.json> --format json | sha256sum   # and --format text
+    python -m bredon dump --dump-complex <g> > <g>.json; sha256sum <g>.json
+    python -m bredon dump --from-file <g>.json --format json | sha256sum
 
 The ``snf`` inputs are the seeded dense matrices of ``snf_matrix``: their
 transforms P and Q have entries of hundreds of bits, so the digests pin
-the whole pivot sequence.
+the whole pivot sequence.  The ``dump`` pair pins the complex a user
+starts from and the report written for it, through the JSON writer.
 """
 
 import hashlib
@@ -47,6 +50,27 @@ SHOW_DIFFERENTIALS_AND_SNF = {
     "p31m": "377ae3ece5ce6362a075a23391975248698bb729e8015fde0ced344d71694501",
     "p6": "70cd6b97d07286bdcbad3d390d5f28a55bf0b351306a551b5dfc65d28b0daf8b",
     "p6m": "e324e7a4d047ad6a867d957ac194773ae2bd43742d3a574cb399b824f894765c",
+}
+
+#: sha256 of ``dump --dump-complex <g>`` and of ``dump --from-file <that output> --format json``.
+DUMP = {
+    "p1": ("5b4e05e6231e6dc9c43d3cd0033932f49ee98273568db90b1e670be883ee6d0a", "08e2a379c10d4386112c900a3a71c0de71c045a2a20c7a2df5289151c336a246"),
+    "p2": ("408aa12fc8194281e1a255a957bbf492b133d1d68370eed8860a67b149a13ab1", "35865402954523e3965e39cca1cfb9981cec6f41908444f769d488c6c59835c7"),
+    "pm": ("c99bab5c9fd3a57c8c7e6920bd96e5965f3ef4e69af2e4adfaca641018d2cbd6", "f74443ef2c8111630b09db771e06716e1208ee4fba80ec7d8e38c4aaa2cba19a"),
+    "pg": ("a5563ad0c865fe613317989428ed5edeae5feaec8b8eeb9882d57ee7546e63a3", "bfce230addc2d5e9edd96e5415779b8a002fb136b4c34ff8426711a2d770b0d2"),
+    "cm": ("63d31d3180ea05f3b5576cce46647b7012296910f8c6b57337f6482154a005f5", "4c96978ba8a8b1a7ce92498ad08aa1ebb8f3bc2635bda385189416f3474fce41"),
+    "pmm": ("d17b2b6f0dd34535531036979ed6d792dfae79e005bf5ad82901f8457c2b60de", "59f773f0fcac2a643bb410e60fb0d6dc0004f9e99f607cfcc4f259e1235f63fa"),
+    "pmg": ("b64e5381987647065b6874d0ba6c381e23f9f5e8432d398b2cc9f386896cf7ae", "f9df6475f6d82cabb7cefead67d7ad71948cb2d425de764659a98c3ab69a9d68"),
+    "pgg": ("6a9030389dcdf39253b7fcb16a688fd8387e6c6c258a228a294cda8d8b961261", "ad7de4027d7b308c4a9de5235f7a5777b9686a20c9473326225a76c5fa6b85ab"),
+    "cmm": ("647650e6dedd47b8e677faf9c912f1144b376a445add0f466c6adf2f88c0901a", "28133f2ef74c8c7e48e08d773dd8131e4bb6593cc1aef1f8f8ba57e162335288"),
+    "p4": ("15d7e941d5b83c4b97583ae5c8b6745ed75926752784d2b0eb8c7114c212590e", "3a77858094c73aaa05df0187d92e476eeac5b63cb79723b62a24035bd2eb6cde"),
+    "p4m": ("3147342f065a3f5cbb765cc372f5f1554e0a86ccd70f73b6d9b493e05cd99b06", "8072b603c9af2ebaaecf8c2ff6f3d857d0eb5f41a7153c4522d936cbef95a703"),
+    "p4g": ("6192b6fe152dbe740d96f4535d37fc7fd0a7c872729d456e04859ef389d3f421", "f6ecaeaa5ad1e6f03f47b8426fb8429514fd1e279494e8589f6299389c293597"),
+    "p3": ("21c42a3d85b806a9eb3f007cb33fd6529b7d9f2ccc86cfe1fa79fcfb00ba731d", "d636d4b8d7aaff29224322412e8cbc613cb3adeec4f48ea7a8a875d8b30d023c"),
+    "p3m1": ("609c89eff3fc8c024d5a1f985123f6da78514a59bfa4408f29a1f0c0b891d90f", "756fa34caacdfe6dfc22ad7810a3a61e0f132fcb2727a0eaac5a3c3d1a6c4591"),
+    "p31m": ("8c9a2556c730418bc064993806eee145b807e6fb4333676eee5c2cf27598bae3", "7ea5bbdd6d36ae196fb910534e1eeffe4cdce3c876cd3c40d643b97f29856781"),
+    "p6": ("8d41c3f701fc50e1b5a40867fb7af820afa8b3e8839d00e126fa68b3d3059e99", "5f4c610887a0e7c358f7c6e6ff578349fde8897c13140467050f69a1e4141c69"),
+    "p6m": ("8f2e604ba8c19a92e6cc91c332b8663689133eeb0b0fb72530ce54c23b2e301c", "ee9d09ba6f345d7f66b7c08f21cfe9869bf098b012f702d075eee900b76b844f"),
 }
 
 #: sha256 of ``snf --format json`` and of ``snf --format text`` per matrix shape.
@@ -108,7 +132,7 @@ def test_dump_tables(capsys):
 
 
 def test_every_group_is_pinned():
-    assert sorted(SHOW_DIFFERENTIALS_AND_SNF) == sorted(wallpaper.list_groups())
+    assert sorted(SHOW_DIFFERENTIALS_AND_SNF) == sorted(DUMP) == sorted(wallpaper.list_groups())
 
 
 @pytest.mark.parametrize("name", wallpaper.list_groups())
@@ -124,3 +148,14 @@ def test_snf_dense(capsys, tmp_path, shape):
     expected_json, expected_text = SNF_DENSE[shape]
     assert digest(capsys, "snf", str(path), "--format", "json") == (0, expected_json)
     assert digest(capsys, "snf", str(path), "--format", "text") == (0, expected_text)
+
+
+@pytest.mark.parametrize("name", wallpaper.list_groups())
+def test_dump_complex_and_from_file(capsys, tmp_path, name):
+    expected_complex, expected_report = DUMP[name]
+    assert main(["dump", "--dump-complex", name]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected_complex
+    path = tmp_path / f"{name}.json"
+    path.write_text(text, encoding="utf-8")
+    assert digest(capsys, "dump", "--from-file", str(path), "--format", "json") == (0, expected_report)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bredon import intlinalg
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
-from snf_helpers import cokernel, kernel_basis, solve_integer
+from snf_helpers import cokernel, dense_replay, kernel_basis, solve_integer
 
 
 def cofactor_det(m: IntegerMatrix) -> int:
@@ -42,6 +43,19 @@ def matrices(draw, max_dim=6, bound=9):
     rows = draw(
         st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=m, max_size=m)
     )
+    return IntegerMatrix.from_rows(rows, cols=n)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=64, per_column=3):
+    """0/+-1 matrices shaped like differentials: at most ``per_column`` nonzeros
+    in each column, so the transforms stay mostly zeros."""
+    m = draw(st.integers(4, max_dim))
+    n = draw(st.integers(4, max_dim))
+    rows = [[0] * n for _ in range(m)]
+    for j in range(n):
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=per_column, unique=True)):
+            rows[i][j] = draw(st.sampled_from((1, -1)))
     return IntegerMatrix.from_rows(rows, cols=n)
 
 
@@ -224,3 +238,14 @@ def test_decomposition_reads_kernel_and_cokernel(a):
     assert snf.cokernel() == cokernel(a)
     assert (a @ snf.kernel()).is_zero()
     assert snf.kernel().cols + snf.rank == a.cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(sparse_matrices(), matrices(max_dim=12, bound=99)))
+def test_replay_matches_the_dense_reference(a):
+    snf = smith_normal_form(a)
+    for log, size in ((snf.row_ops, a.rows), (snf.col_ops, a.cols)):
+        for inverse in (False, True):
+            for transposed in (False, True):
+                got = intlinalg._replay(log, size, inverse, transposed)
+                assert got == dense_replay(log, size, inverse, transposed)
