@@ -35,7 +35,7 @@ def draw(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> Inte
     return IntegerMatrix.from_rows(rows, cols=n)
 
 
-def check_one(rng: random.Random, max_dim: int, max_entry: int, sparse: bool = False) -> str | None:
+def check_one(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> str | None:
     a = draw(rng, max_dim, max_entry, sparse)
     m, n = a.rows, a.cols
     snf = smith_normal_form(a)
