@@ -17,6 +17,7 @@ Exit codes: 0 success / all checks pass, 1 verification mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import chartab, gcw, homology, reference, schemas, wallpaper
@@ -280,7 +281,9 @@ def cmd_snf(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; ``main`` looks up each command's function."""
     parser = argparse.ArgumentParser(
         prog="bredon",
         description="Exact Bredon homology of the 17 wallpaper groups with representation-ring coefficients.",
@@ -293,31 +296,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--format", choices=("text", "json"), default="text")
     p_compute.add_argument("--show-differentials", action="store_true")
     p_compute.add_argument("--show-snf", action="store_true")
-    p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="diff recomputed results against the embedded reference tables")
     p_verify.add_argument("--table3", action="store_true", help="induced character rows")
     p_verify.add_argument("--table4", action="store_true", help="homology isomorphism types")
     p_verify.add_argument("--bases", action="store_true", help="reference homology bases")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_dump = sub.add_parser("dump", help="emit or load JSON data")
     p_dump.add_argument("--dump-complex", metavar="NAME", help="emit a built-in cell structure")
     p_dump.add_argument("--dump-tables", action="store_true", help="emit all nine character tables")
     p_dump.add_argument("--from-file", metavar="PATH", help="load a complex and compute its homology")
     p_dump.add_argument("--format", choices=("text", "json"), default="text")
-    p_dump.set_defaults(func=cmd_dump)
 
     p_snf = sub.add_parser("snf", help="Smith normal form of a JSON matrix (list of integer rows)")
     p_snf.add_argument("matrix", help="path to a JSON file, or - for stdin")
     p_snf.add_argument("--format", choices=("text", "json"), default="text")
-    p_snf.set_defaults(func=cmd_snf)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

@@ -82,13 +82,13 @@ class EquivariantComplex:
         Generators come in orbit order, then irreducible order.  An orbit
         whose stabilizer has a single irreducible gets its bare label stem;
         otherwise the 1-based irreducible index is appended as ^k.  Orbits
-        of a dimension outside 0..2 belong to no chain group.
+        whose dimension is not an ``int`` in 0..2 belong to no chain group.
         """
         labels: tuple[list[GeneratorLabel], ...] = ([], [], [])
         offsets: tuple[dict[str, int], ...] = ({}, {}, {})
         for orbit in self.orbits:
             d = orbit.dimension
-            if d not in (0, 1, 2):
+            if type(d) is not int or d not in (0, 1, 2):
                 continue
             rank = chartab.build_table(orbit.stabilizer).rank
             offsets[d][orbit.orbit_id] = len(labels[d])
@@ -148,7 +148,7 @@ def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMa
         if o.orbit_id in seen:
             violations.append(f"duplicate orbit id {o.orbit_id!r}")
         seen.add(o.orbit_id)
-        if o.dimension not in (0, 1, 2):
+        if type(o.dimension) is not int or o.dimension not in (0, 1, 2):
             violations.append(f"orbit {o.orbit_id}: dimension {o.dimension} out of range")
         if o.stabilizer not in chartab.GROUP_IDS:
             violations.append(f"orbit {o.orbit_id}: unknown stabilizer {o.stabilizer!r}")
@@ -173,7 +173,7 @@ def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMa
         if src.dimension != tgt.dimension + 1:
             violations.append(f"{where}: dimensions {src.dimension}->{tgt.dimension} are not consecutive")
             continue
-        if term.sign not in (1, -1):
+        if type(term.sign) is not int or term.sign not in (1, -1):
             violations.append(f"{where}: sign must be +1 or -1")
         try:
             emb = chartab.get_embedding(term.embedding)

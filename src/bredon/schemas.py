@@ -6,8 +6,9 @@ dict is an object with exactly those keys, a list an array of its one
 item spec, ``str`` and ``int`` the JSON types (``int`` admits neither
 ``true``/``false`` nor floats such as ``2.0``), a ``range`` an integer
 interval and a tuple the allowed values.  An array of arrays is a matrix:
-every row must be as long as the first.  The document is checked level
-by level, so the violation reported is the one closest to the root.
+every row must be as long as the first.  A predicate compiled from the spec
+on first use accepts a valid document in one pass; only a rejected one is
+walked level by level, so the violation reported is the one closest to the root.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _TYPE_NAMES = {dict: "object", list: "array", str: "string", int: "integer"}
 _SPEC_TYPES = {dict: dict, list: list, _NonEmpty: list, _Row: list, range: int}
 #: Unexpected keys named in a message; the rest are only counted.
 _EXTRA_KEYS_SHOWN = 5
+#: The ``_accepts`` predicate of each format, compiled on first use.
+_ACCEPT: dict = {}
 
 
 def _shown(value) -> str:
@@ -93,10 +96,37 @@ def _children(path: tuple, value, spec) -> list:
     return []
 
 
+def _accepts(spec):
+    """A predicate true exactly when ``_explain`` finds no violation of ``spec``:
+    one pass that builds no path or message, never raises and never looks
+    deeper than ``spec`` (an enum hashes only values of its own types)."""
+    if isinstance(spec, tuple):
+        allowed = {type(value): {v for v in spec if type(v) is type(value)} for value in spec}
+        return lambda value: value in allowed.get(type(value), ())
+    if spec is int or isinstance(spec, range):
+        return lambda value: type(value) is int and (spec is int or value in spec)
+    if isinstance(spec, type):
+        return lambda value: isinstance(value, spec)
+    if isinstance(spec, dict):
+        keys, fields = spec.keys(), [(key, _accepts(item)) for key, item in spec.items()]
+        return lambda value: isinstance(value, dict) and value.keys() == keys and all([ok(value[key]) for key, ok in fields])
+    least, rows, item = int(isinstance(spec, _NonEmpty)), isinstance(spec[0], list), _accepts(spec[0])
+    return lambda value: isinstance(value, list) and len(value) >= least and all(map(item, value)) and not (
+        rows and value and type(value[0]) is list and len(set(map(len, value))) > 1  # a matrix: rows as long as the first
+    )
+
+
 def check(data, what: str) -> None:
     """Raise ``SchemaError("invalid <what> at <path>: <reason>")`` unless
     ``data`` is a valid ``what`` (``"complex"`` or ``"matrix"``); ``<path>``
     joins the JSON keys and indices with ``/``, ``(root)`` for the document."""
+    accept = _ACCEPT.get(what) or _ACCEPT.setdefault(what, _accepts(_FORMATS[what]))
+    if not accept(data):
+        _explain(data, what)
+
+
+def _explain(data, what: str) -> None:
+    """Walk ``data`` level by level and raise at the violation closest to the root."""
     level = [((), data, _FORMATS[what])]
     while level:
         for path, value, spec in level:

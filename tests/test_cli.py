@@ -504,3 +504,38 @@ def test_no_command_needs_jsonschema(tmp_path):
         proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=120)
         assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, str(expected), ""), argv
 
+
+
+def test_main_calls_in_sequence_match_fresh_processes(capsys, monkeypatch, tmp_path):
+    # one parser serves every call in a process: no option value may leak from one call to the next
+    complex_path = tmp_path / "p4m.json"
+    complex_path.write_text(gcw.to_json(wallpaper.get_group("p4m")[0]), encoding="utf-8")
+    calls = [
+        (["dump", "--from-file", str(complex_path), "--format", "json"], "", 0),
+        (["dump", "--from-file", str(complex_path)], "", 0),
+        (["snf", "-"], "[[2, 4], [6, 8]]", 0),
+        (["snf", "-", "--format", "yaml"], "[[2]]", 2),  # argparse's usage error
+        (["dump"], "", 2),  # the command's own usage error
+        (["compute", "p1", "--format", "json"], "", 0),
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    for argv, stdin, expected in calls:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        got = (code, *capsys.readouterr())
+        proc = subprocess.run(
+            [sys.executable, "-m", "bredon", *argv], input=stdin, capture_output=True, text=True, env=env, timeout=120
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr) and code == expected, argv
+
+
+def test_main_looks_up_the_command_function_on_each_call(capsys, monkeypatch):
+    from bredon import cli
+
+    assert main(["compute", "p1"]) == 0 and cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_compute", lambda args: 42)
+    assert main(["compute", "p1"]) == 42

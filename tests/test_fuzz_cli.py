@@ -3,7 +3,9 @@
 Arbitrary JSON documents of bounded size, small integer matrices (ragged
 ones too) and seeded mutations of the built-in complexes go through
 ``cli.main`` unguarded, so any exception fails the test.  Exit 0 must
-come with an empty stderr and exit 3 with a message on it.
+come with an empty stderr and exit 3 with a message on it.  The same
+documents check that the compiled predicate of ``schemas.check`` accepts
+exactly what its level walk finds no violation in.
 """
 
 import contextlib
@@ -13,10 +15,11 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bredon import chartab, gcw, wallpaper
+from bredon import chartab, gcw, schemas, wallpaper
 from bredon.cli import main
 
 JSON = st.recursive(
@@ -25,6 +28,11 @@ JSON = st.recursive(
     max_leaves=24,
 )
 MATRICES = st.lists(st.lists(st.integers(-99, 99), max_size=5), max_size=5)
+#: Near-matrices: ragged rows, non-list rows, bools and floats among the entries.
+ODD_MATRICES = st.lists(
+    st.lists(st.integers(-9, 9) | st.booleans() | st.floats(), max_size=3) | st.integers(-9, 9) | st.none(),
+    max_size=4,
+)
 COMPLEXES = [gcw.to_json_dict(wallpaper.get_group(name)[0]) for name in wallpaper.list_groups()]
 #: Replacement values besides those already in the document.
 ODD_VALUES = [None, True, 1.0, -1, 0, 2, 3, "", "C5", [], {}, *chartab.GROUP_IDS]
@@ -101,3 +109,60 @@ def test_mutated_complexes(document, rnd):
 def test_unmutated_complexes_pass():
     for document in COMPLEXES:
         assert _run(["dump", "--from-file"], json.dumps(document)) == 0
+
+
+def _agree(document, what: str) -> bool:
+    """The compiled predicate accepts ``document`` exactly when the walk finds no violation."""
+    try:
+        schemas._explain(document, what)
+        walked = True
+    except schemas.SchemaError:
+        walked = False
+    assert schemas._accepts(schemas._FORMATS[what])(document) is walked
+    return walked
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(COMPLEXES), st.randoms(use_true_random=False))
+def test_predicate_agrees_with_walk_on_mutated_complexes(document, rnd):
+    _agree(_mutate(document, rnd), "complex")
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON)
+def test_predicate_agrees_with_walk_on_arbitrary_json(document):
+    _agree(document, "complex")
+    _agree(document, "matrix")
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRICES | ODD_MATRICES)
+def test_predicate_agrees_with_walk_on_small_matrices(rows):
+    _agree(rows, "matrix")
+
+
+def _deep(levels: int) -> list:
+    value: list = []
+    for _ in range(levels):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "document, what, valid",
+    [
+        *[(matrix, "matrix", True) for matrix in ([], [[]], [[], []], [[1, -2], [3, 4]])],
+        *[(matrix, "matrix", False) for matrix in ([[1], 2], [[1], []], [[True]], [[1.0]], [[1, 2], [3]], [2], {})],
+        *[
+            ({**COMPLEXES[0], part: [{**COMPLEXES[0][part][0], key: odd}]}, "complex", False)
+            for part, key in (("orbits", "dim"), ("orbits", "stabilizer"), ("boundary", "sign"))
+            for odd in ([], {}, [1], {"C1": 1}, 1.0, True, _deep(100_000))
+        ],
+        ([[1, _deep(100_000)]], "matrix", False),
+        ({**COMPLEXES[0], "group": _deep(100_000)}, "complex", False),
+    ],
+)
+def test_predicate_agrees_with_walk_on_edge_cases(document, what, valid):
+    # unhashable values in enum and range slots are never hashed, and nesting
+    # past the depth of the spec is never walked
+    assert _agree(document, what) is valid

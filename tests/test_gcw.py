@@ -176,6 +176,28 @@ def test_missing_orbit_reference_detected():
     assert any("missing orbit" in v for v in validate(mutated))
 
 
+@pytest.mark.parametrize("value", [2.0, 1.0, True, "2"])
+def test_non_int_dimension_is_out_of_range(value):
+    # a complex built in code: 2.0 used to end in a TypeError, True in a silent 1
+    base = cx("p2")
+    orbits = [dataclasses.replace(o, dimension=value) if o.orbit_id == "e2" else o for o in base.orbits]
+    mutated = dataclasses.replace(base, orbits=tuple(orbits))
+    assert validate(mutated) == [f"orbit e2: dimension {value} out of range"]
+    with pytest.raises(InvalidComplexError):
+        differentials(mutated)
+    assert chain_rank(mutated, 2) == (0, [])
+
+
+@pytest.mark.parametrize("value", [1.0, -1.0, True, 2])
+def test_non_int_sign_is_a_violation(value):
+    base = cx("pmm")
+    terms = [dataclasses.replace(t, sign=value) if t.source == "e2" else t for t in base.boundary]
+    mutated = dataclasses.replace(base, boundary=tuple(terms))
+    assert validate(mutated) == [f"boundary term e2->{t.target}: sign must be +1 or -1" for t in terms if t.source == "e2"]
+    with pytest.raises(InvalidComplexError):
+        differentials(mutated)
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 

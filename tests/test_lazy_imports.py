@@ -65,3 +65,14 @@ def test_dir_and_star_import_list_every_export():
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
         getattr(bredon, name)
+
+
+def test_input_checks_and_parser_are_built_on_first_use():
+    probe = (
+        "from bredon import cli, schemas\n"
+        "print(len(schemas._ACCEPT), cli.build_parser.cache_info().currsize)\n"
+        "schemas.check([[1]], 'matrix')\n"
+        "cli.build_parser()\n"
+        "print(*schemas._ACCEPT, cli.build_parser.cache_info().currsize)\n"
+    )
+    assert _fresh(probe) == ["0", "0", "matrix", "1"]
