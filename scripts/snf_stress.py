@@ -4,8 +4,10 @@
 Draws random integer matrices, recomputes D = P*A*Q and the transform
 inverses, and checks shape, positivity and the divisibility chain.
 Trials alternate dense draws (entries up to --max-entry) with sparse 0/+-1
-draws shaped like differentials (at most 3 nonzeros per column), whose
-transforms take the zero-skipping path of the transform replay.
+draws shaped like differentials (at most 3 nonzeros per column).  Each
+transform is built by replaying its operation log in reverse, every update
+starting at its pivot's column; the transforms of a sparse draw stay mostly
+zeros, so their adds also touch only the nonzero columns of the source row.
 Reports throughput; exits nonzero on the first violation.
 
     python scripts/snf_stress.py --count 5000 --max-dim 10 --max-entry 99

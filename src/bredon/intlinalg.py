@@ -4,7 +4,9 @@ Everything here works over plain Python ints (arbitrary precision), so the
 results are exact regardless of pivot growth.  The central routine is
 ``smith_normal_form``, which diagonalizes D = P*A*Q with unimodular P, Q and
 returns the decomposition; P, Q, their inverses, kernels and cokernels are
-read off from it.
+read off from it.  Once pivot t is placed, its row and column are zero off
+the diagonal and stay so, so the reduction and the reverse-order replay of
+its operation logs both work only on the active block from index t on.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class IntegerMatrix:
             raise ValueError("ragged rows")
         if cols is not None and cols != ncols:
             raise ValueError(f"rows have {ncols} entries, expected {cols}")
-        entries = tuple(v for r in rows for v in r)
+        entries = tuple(chain.from_iterable(rows))
         if not set(map(type, entries)) <= {int}:
             bad = next(v for v in entries if type(v) is not int)
             raise TypeError(f"matrix entries are int, not {type(bad).__name__} ({bad!r})")
@@ -74,15 +76,14 @@ class IntegerMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return self.entries[j :: self.cols]
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        e, c = self.entries, self.cols
+        return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols, self.rows, tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
-        )
+        return IntegerMatrix(self.cols, self.rows, tuple(chain.from_iterable(map(self.col, range(self.cols)))))
 
     def is_zero(self) -> bool:
         return not any(self.entries)
@@ -109,8 +110,9 @@ class IntegerMatrix:
         return IntegerMatrix.from_rows(rows, cols=self.cols + other.cols)
 
     def take_columns(self, indices: Sequence[int]) -> "IntegerMatrix":
-        rows = [[self.entry(i, j) for j in indices] for i in range(self.rows)]
-        return IntegerMatrix(self.rows, len(indices), tuple(v for r in rows for v in r))
+        e, c = self.entries, self.cols
+        rows = [e[i * c : (i + 1) * c] for i in range(self.rows)]
+        return IntegerMatrix(self.rows, len(indices), tuple(r[j] for r in rows for j in indices))
 
     def __str__(self) -> str:
         return "\n".join(" ".join(f"{v}" for v in self.row(i)) for i in range(self.rows)) or "(empty)"
@@ -122,9 +124,10 @@ class SNFDecomposition:
 
     ``kernel`` reads ker(A) off Q and ``cokernel`` coker(A) off P_inv, so
     one reduction of A answers both.  The reduction logs its row and column
-    operations; each of P, P_inv, Q and Q_inv is built from its log on
-    first read, so a caller pays only for the transforms it reads; D is
-    built from the invariant factors, also on first read.
+    operations; each of P, P_inv, Q and Q_inv is built on first read by
+    replaying its log in reverse (see ``_replay``), so a caller pays only
+    for the transforms it reads; D is built from the invariant factors,
+    also on first read.
     """
 
     matrix: IntegerMatrix
@@ -139,19 +142,19 @@ class SNFDecomposition:
 
     @cached_property
     def P(self) -> IntegerMatrix:
-        return _replay(self.row_ops, self.matrix.rows, inverse=False, transposed=False)
+        return _replay(self.row_ops, self.matrix.rows, inverse=False, transposed=True)
 
     @cached_property
     def P_inv(self) -> IntegerMatrix:
-        return _replay(self.row_ops, self.matrix.rows, inverse=True, transposed=True)
+        return _replay(self.row_ops, self.matrix.rows, inverse=True, transposed=False)
 
     @cached_property
     def Q(self) -> IntegerMatrix:
-        return _replay(self.col_ops, self.matrix.cols, inverse=False, transposed=True)
+        return _replay(self.col_ops, self.matrix.cols, inverse=False, transposed=False)
 
     @cached_property
     def Q_inv(self) -> IntegerMatrix:
-        return _replay(self.col_ops, self.matrix.cols, inverse=True, transposed=False)
+        return _replay(self.col_ops, self.matrix.cols, inverse=True, transposed=True)
 
     @property
     def rank(self) -> int:
@@ -192,7 +195,9 @@ class _Worker:
     A log entry (i, j, k) is a swap of lines i and j when k == 0 (an add
     with k == 0 is never logged), a negation of line i when i == j, and
     line_i += k * line_j otherwise.  Row ops act as D <- L*D, column ops
-    as D <- D*R.
+    as D <- D*R.  Every operation of pivot t has min(i, j) == t, and rows
+    and columns of the earlier pivots are zero off the diagonal, so an
+    operation changes only the active block from row and column t on.
     """
 
     def __init__(self, a: IntegerMatrix):
@@ -213,45 +218,40 @@ class _Worker:
         """row_i += k * row_j"""
         if not k:
             return
-        self.d[i] = [a + k * b for a, b in zip(self.d[i], self.d[j])]
+        lo, target = i if i < j else j, self.d[i]
+        target[lo:] = [a + k * b for a, b in zip(target[lo:], self.d[j][lo:])]
         self.row_ops.append((i, j, k))
 
     def col_swap(self, i: int, j: int) -> None:
-        for r in self.d:
+        for r in self.d[i if i < j else j :]:
             r[i], r[j] = r[j], r[i]
         self.col_ops.append((i, j, 0))
 
-    def col_add(self, j: int, i: int, k: int) -> None:
-        """col_j += k * col_i"""
-        if not k:
-            return
-        for r in self.d:
-            if r[i]:
-                r[j] += k * r[i]
-        self.col_ops.append((j, i, k))
-
 
 def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool) -> IntegerMatrix:
-    """Replay ``log`` as row operations on the size x size identity.
+    """Replay ``log`` in reverse, each operation transposed, as row operations
+    on the size x size identity.
 
-    ``inverse`` replaces each operation by its inverse transposed (an add
-    line_i += k * line_j by line_j -= k * line_i; swaps and negations stay),
-    so the row log gives P or P_inv^T and the column log Q^T or Q_inv.  The
-    result is transposed once at the end when ``transposed``.
+    That builds the transpose of the product the log applies: an add
+    line_i += k * line_j is replayed as row_j += k * row_i (swaps and
+    negations stay), so the row log gives P^T and the column log Q.
+    ``inverse`` replays each add inverted instead, row_i -= k * row_j, for
+    P_inv and Q_inv^T.  The result is transposed at the end when ``transposed``.
 
-    Each row keeps the set of columns that may be nonzero, or None once it
-    may be dense.  An add from a row with at most size // 4 such columns
-    touches only those (the transforms of a unit-pivot differential are
-    mostly zeros); an add from a denser one updates the whole row.
+    Replayed in reverse, the operations of pivot t = min(i, j) touch only
+    rows t onward, still zero left of column t, so an update starts there.
+    Each row also keeps the set of columns that may be nonzero, or None once
+    it may be dense; an add from a row with at most size // 4 such columns
+    touches only those (a unit-pivot differential's transforms are mostly zeros).
     """
     rows = [[0] * size for _ in range(size)]
     support: list[set[int] | None] = [{i} for i in range(size)]
     for i in range(size):
         rows[i][i] = 1
     sparse = size // 4
-    for i, j, k in log:
-        if inverse and k and i != j:  # line_j -= k * line_i
-            i, j, k = j, i, -k
+    for i, j, k in reversed(log):
+        if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
+            i, j, k = (i, j, -k) if inverse else (j, i, k)
         if not k:
             rows[i], rows[j] = rows[j], rows[i]
             support[i], support[j] = support[j], support[i]
@@ -264,7 +264,8 @@ def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transpose
             if support[i] is not None:
                 support[i] |= source
         else:
-            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            lo, target = i if i < j else j, rows[i]
+            target[lo:] = [a + k * b for a, b in zip(target[lo:], rows[j][lo:])]
             support[i] = None
     lines = zip(*rows) if transposed else rows
     return IntegerMatrix(size, size, tuple(chain.from_iterable(lines)))
@@ -316,27 +317,42 @@ def _find_pivot(w: _Worker, t: int) -> tuple[int, int] | None:
 
 def _clear_cross(w: _Worker, t: int) -> None:
     """Zero out column t below the pivot and row t right of it."""
+    d = w.d
     while True:
         # Pull the smallest nonzero of the pivot cross into the corner first,
         # so the Euclidean remainders shrink monotonically.
+        least = abs(d[t][t])
         for i in range(t + 1, w.m):
-            if w.d[i][t] and abs(w.d[i][t]) < abs(w.d[t][t]):
+            if (v := d[i][t]) and abs(v) < least:
                 w.row_swap(t, i)
+                least = abs(v)
         for j in range(t + 1, w.n):
-            if w.d[t][j] and abs(w.d[t][j]) < abs(w.d[t][t]):
+            if (v := d[t][j]) and abs(v) < least:
                 w.col_swap(t, j)
-        dirty = False
+                least = abs(v)
+        piv, dirty = d[t][t], False
         for i in range(t + 1, w.m):
-            if w.d[i][t]:
-                q = w.d[i][t] // w.d[t][t]
-                w.row_add(i, t, -q)
-                if w.d[i][t]:
+            if v := d[i][t]:
+                w.row_add(i, t, -(v // piv))
+                if d[i][t]:
                     dirty = True
+        # Adding to column j changes neither the pivot nor row t outside
+        # column j, so every quotient is known up front: one pass over the
+        # rows meeting column t applies them all.  No quotient is 0, as the
+        # pivot is the least nonzero of its row.
+        pivot_row = d[t]
+        adds = []
         for j in range(t + 1, w.n):
-            if w.d[t][j]:
-                q = w.d[t][j] // w.d[t][t]
-                w.col_add(j, t, -q)
-                if w.d[t][j]:
+            if v := pivot_row[j]:
+                adds.append((j, t, -(v // piv)))
+        if adds:
+            w.col_ops += adds
+            for r in d[t:]:
+                if c := r[t]:
+                    for j, _, k in adds:
+                        r[j] += k * c
+            for j, _, _ in adds:
+                if pivot_row[j]:
                     dirty = True
         if not dirty:
             return

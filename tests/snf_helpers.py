@@ -2,8 +2,11 @@
 
 ``solve_integer`` is the oracle for the kernel-coordinate algorithm that
 ``verify_basis`` replaced; ``kernel_basis`` and ``cokernel`` are shorthands
-for reading one property of a fresh decomposition; ``dense_replay`` is the
-reference for ``intlinalg._replay``, which skips zero entries.
+for reading one property of a fresh decomposition.  Two references pin the
+engine's operation logs and transforms: ``reference_reduction`` is the
+reduction that updates whole rows and columns, one column add at a time,
+and ``dense_replay`` replays a log forward over whole rows; the engine
+confines both to the active block.
 """
 
 from bredon.intlinalg import CokernelPresentation, IntegerMatrix, smith_normal_form
@@ -45,8 +48,11 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
 
 
 def dense_replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool) -> IntegerMatrix:
-    """``intlinalg._replay`` without the sparse path: every operation updates
-    every entry of the row it changes."""
+    """``log`` replayed forward on the identity, every operation updating
+    every entry of the row it changes; ``inverse`` replays each add inverted
+    and transposed.  The row log gives P, or P_inv^T under ``inverse``, and
+    the column log Q^T or Q_inv; the result is transposed when ``transposed``.
+    ``intlinalg._replay`` builds the same matrix with ``transposed`` flipped."""
     rows = [[int(i == j) for j in range(size)] for i in range(size)]
     for i, j, k in log:
         if not k:
@@ -59,3 +65,76 @@ def dense_replay(log: list[tuple[int, int, int]], size: int, inverse: bool, tran
             rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
     lines = zip(*rows) if transposed else rows
     return IntegerMatrix(size, size, tuple(v for line in lines for v in line))
+
+
+def reference_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
+    """(invariant factors, row log, column log) of the classical reduction with
+    minimal-|pivot| selection, each operation applied to whole rows and
+    columns in the order ``intlinalg.smith_normal_form`` logs it."""
+    m, n = a.rows, a.cols
+    d = a.to_rows()
+    row_ops, col_ops = [], []
+
+    def row_swap(i, j):
+        d[i], d[j] = d[j], d[i]
+        row_ops.append((i, j, 0))
+
+    def row_add(i, j, k):
+        if k:
+            d[i] = [x + k * y for x, y in zip(d[i], d[j])]
+            row_ops.append((i, j, k))
+
+    def col_swap(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        col_ops.append((i, j, 0))
+
+    def col_add(j, i, k):
+        if k:
+            for r in d:
+                r[j] += k * r[i]
+            col_ops.append((j, i, k))
+
+    def clear_cross(t):
+        while True:
+            for i in range(t + 1, m):
+                if d[i][t] and abs(d[i][t]) < abs(d[t][t]):
+                    row_swap(t, i)
+            for j in range(t + 1, n):
+                if d[t][j] and abs(d[t][j]) < abs(d[t][t]):
+                    col_swap(t, j)
+            dirty = False
+            for i in range(t + 1, m):
+                if d[i][t]:
+                    row_add(i, t, -(d[i][t] // d[t][t]))
+                    dirty = dirty or bool(d[i][t])
+            for j in range(t + 1, n):
+                if d[t][j]:
+                    col_add(j, t, -(d[t][j] // d[t][t]))
+                    dirty = dirty or bool(d[t][j])
+            if not dirty:
+                return
+
+    t = 0
+    while t < min(m, n):
+        nonzero = [(abs(d[i][j]), i, j) for i in range(t, m) for j in range(t, n) if d[i][j]]
+        if not nonzero:
+            break
+        # the first entry of least |value| in row-major order
+        _, pi, pj = min(nonzero)
+        if pi != t:
+            row_swap(t, pi)
+        if pj != t:
+            col_swap(t, pj)
+        clear_cross(t)
+        while d[t][t] not in (1, -1):
+            offenders = [i for i in range(t + 1, m) if any(d[i][j] % d[t][t] for j in range(t + 1, n))]
+            if not offenders:
+                break
+            row_add(t, offenders[0], 1)
+            clear_cross(t)
+        if d[t][t] < 0:
+            d[t] = [-v for v in d[t]]
+            row_ops.append((t, t, -1))
+        t += 1
+    return tuple(d[i][i] for i in range(t)), row_ops, col_ops

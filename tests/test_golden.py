@@ -103,6 +103,10 @@ SNF_DENSE = {
         "5a254c3b55828462d9ed9e8438ce404278790c95dd14cfbf9cd4b73e7eb320fa",
         "b3a0ab3701ffe8b9b0f9c204a6cfeddac69d19f1207097c0278e68a7f808e7cd",
     ),
+    "32x32": (
+        "f1a7bbfc77912635ebadc59d4369be11e49296369f6c7c332ecd7109e8649665",
+        "d971cf48fa691367263bd76da35f1d8ffbb615b3aedbe7a90ecbaffa76a67d03",
+    ),
 }
 
 

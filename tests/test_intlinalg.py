@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from bredon import intlinalg
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
-from snf_helpers import cokernel, dense_replay, kernel_basis, solve_integer
+from snf_helpers import cokernel, dense_replay, kernel_basis, reference_reduction, solve_integer
 
 
 def cofactor_det(m: IntegerMatrix) -> int:
@@ -243,9 +243,30 @@ def test_decomposition_reads_kernel_and_cokernel(a):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(sparse_matrices(), matrices(max_dim=12, bound=99)))
 def test_replay_matches_the_dense_reference(a):
+    # the reverse replay builds the transpose of the forward one
     snf = smith_normal_form(a)
     for log, size in ((snf.row_ops, a.rows), (snf.col_ops, a.cols)):
         for inverse in (False, True):
             for transposed in (False, True):
                 got = intlinalg._replay(log, size, inverse, transposed)
-                assert got == dense_replay(log, size, inverse, transposed)
+                assert got == dense_replay(log, size, inverse, not transposed)
+
+
+def assert_logs_match_the_reference(a: IntegerMatrix) -> None:
+    snf = smith_normal_form(a)
+    assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == reference_reduction(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices(max_dim=16, bound=99), sparse_matrices()))
+def test_operation_logs_match_the_reference_reduction(a):
+    assert_logs_match_the_reference(a)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_operation_logs_of_builtin_differentials_match_the_reference(degree):
+    from bredon import wallpaper
+    from bredon.gcw import assemble_differential
+
+    for name in wallpaper.list_groups():
+        assert_logs_match_the_reference(assemble_differential(wallpaper.get_group(name)[0], degree))

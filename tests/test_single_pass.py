@@ -54,7 +54,7 @@ def tally(monkeypatch):
 
 
 #: The transform each (inverse, transposed) replay of ``intlinalg._replay`` builds.
-TRANSFORMS = {(False, False): "P", (True, True): "P_inv", (False, True): "Q", (True, False): "Q_inv"}
+TRANSFORMS = {(False, True): "P", (True, False): "P_inv", (False, False): "Q", (True, True): "Q_inv"}
 
 
 @pytest.fixture
