@@ -8,7 +8,8 @@ draws shaped like differentials (at most 3 nonzeros per column).  Each
 transform is built by replaying its operation log in reverse, every update
 starting at its pivot's column; the transforms of a sparse draw stay mostly
 zeros, so their adds also touch only the nonzero columns of the source row.
-Reports throughput; exits nonzero on the first violation.
+Reports throughput and the largest P and Q entries, in bits, over the dense
+draws; exits nonzero on the first violation.
 
     python scripts/snf_stress.py --count 5000 --max-dim 10 --max-entry 99
 """
@@ -20,7 +21,7 @@ import random
 import sys
 import time
 
-from bredon.intlinalg import IntegerMatrix, smith_normal_form
+from bredon.intlinalg import IntegerMatrix, SNFDecomposition, smith_normal_form
 
 
 def draw(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> IntegerMatrix:
@@ -37,10 +38,13 @@ def draw(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> Inte
     return IntegerMatrix.from_rows(rows, cols=n)
 
 
-def check_one(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> str | None:
-    a = draw(rng, max_dim, max_entry, sparse)
+def bits(m: IntegerMatrix) -> int:
+    """Bit length of the largest |entry| of ``m``."""
+    return max((abs(v).bit_length() for v in m.entries), default=0)
+
+
+def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
     m, n = a.rows, a.cols
-    snf = smith_normal_form(a)
     if snf.P @ a @ snf.Q != snf.D:
         return f"D != P A Q for {a.to_rows()}"
     if snf.P @ snf.P_inv != IntegerMatrix.identity(m) or snf.Q @ snf.Q_inv != IntegerMatrix.identity(n):
@@ -66,14 +70,22 @@ def main() -> int:
 
     rng = random.Random(args.seed)
     started = time.monotonic()
+    p_bits = q_bits = 0
     for trial in range(args.count):
-        problem = check_one(rng, args.max_dim, args.max_entry, sparse=trial % 2 == 1)
-        if problem:
+        sparse = trial % 2 == 1
+        a = draw(rng, args.max_dim, args.max_entry, sparse)
+        snf = smith_normal_form(a)
+        if problem := check_one(a, snf):
             print(f"trial {trial}: {problem}", file=sys.stderr)
             return 1
+        if not sparse:
+            p_bits, q_bits = max(p_bits, bits(snf.P)), max(q_bits, bits(snf.Q))
     elapsed = time.monotonic() - started
     rate = args.count / elapsed if elapsed else float("inf")
-    print(f"{args.count} decompositions verified in {elapsed:.2f}s ({rate:.0f}/s)")
+    print(
+        f"{args.count} decompositions verified in {elapsed:.2f}s ({rate:.0f}/s);"
+        f" largest dense transform entries: P {p_bits} bits, Q {q_bits} bits"
+    )
     return 0
 
 

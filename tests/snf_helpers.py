@@ -4,9 +4,12 @@
 ``verify_basis`` replaced; ``kernel_basis`` and ``cokernel`` are shorthands
 for reading one property of a fresh decomposition.  Two references pin the
 engine's operation logs and transforms: ``reference_reduction`` is the
-reduction that updates whole rows and columns, one column add at a time,
+reduction that updates whole rows and columns, one operation at a time,
 and ``dense_replay`` replays a log forward over whole rows; the engine
-confines both to the active block.
+confines both to the active block.  ``classical_reduction`` takes floor
+quotients and clears row t after column t in every round; it logs what the
+engine logs on a matrix whose pivots leave no remainder in their cross, as
+on the homology path of the built-in groups.
 """
 
 from bredon.intlinalg import CokernelPresentation, IntegerMatrix, smith_normal_form
@@ -68,9 +71,20 @@ def dense_replay(log: list[tuple[int, int, int]], size: int, inverse: bool, tran
 
 
 def reference_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
-    """(invariant factors, row log, column log) of the classical reduction with
+    """(invariant factors, row log, column log) of the reduction with
     minimal-|pivot| selection, each operation applied to whole rows and
-    columns in the order ``intlinalg.smith_normal_form`` logs it."""
+    columns in the order ``intlinalg.smith_normal_form`` logs it: column t
+    is cleared before row t, every quotient rounded to the nearest integer."""
+    return _reduction(a, classical=False)
+
+
+def classical_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
+    """As ``reference_reduction``, but each round of a pivot clears column t
+    and then row t with floor quotients, even when column t keeps a remainder."""
+    return _reduction(a, classical=True)
+
+
+def _reduction(a: IntegerMatrix, classical: bool) -> tuple[tuple[int, ...], list, list]:
     m, n = a.rows, a.cols
     d = a.to_rows()
     row_ops, col_ops = [], []
@@ -95,6 +109,10 @@ def reference_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
                 r[j] += k * r[i]
             col_ops.append((j, i, k))
 
+    def quotient(v, piv):
+        """Minus the floor quotient of v / piv, or minus the nearest one."""
+        return -(v // piv) if classical else -((2 * v + piv) // (2 * piv))
+
     def clear_cross(t):
         while True:
             for i in range(t + 1, m):
@@ -106,11 +124,13 @@ def reference_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
             dirty = False
             for i in range(t + 1, m):
                 if d[i][t]:
-                    row_add(i, t, -(d[i][t] // d[t][t]))
+                    row_add(i, t, quotient(d[i][t], d[t][t]))
                     dirty = dirty or bool(d[i][t])
+            if dirty and not classical:
+                continue
             for j in range(t + 1, n):
                 if d[t][j]:
-                    col_add(j, t, -(d[t][j] // d[t][t]))
+                    col_add(j, t, quotient(d[t][j], d[t][t]))
                     dirty = dirty or bool(d[t][j])
             if not dirty:
                 return

@@ -76,36 +76,36 @@ DUMP = {
 #: sha256 of ``snf --format json`` and of ``snf --format text`` per matrix shape.
 SNF_DENSE = {
     "8x8": (
-        "8be858933f9ba8369a468d087d9b11c0028a89d06336f38417890cec9d4f34d3",
-        "2d2378b47b8708100e242006c60de62751ff8f34e26762a471e6f083af07c1f7",
+        "28510cbf520d836903741a8ed4eac830cae8d8a5bee20e9560a665a15558c436",
+        "5e4f3256b5bfdcf08f691125b1e8471e2f03106e6f76ce14415bf80536024f3d",
     ),
     "8x24": (
-        "480e8a669e2e0d14fd4e11dcdb082dc3fdcee791692a3b6d32ae2994db351e23",
-        "417a221aa18324c065712124926489815cd60e8e08f28c5988ef7f1072e21f07",
+        "badbc25c7f4a38ea78d0a42d9770cb4ec32e68b3c8bdfe91d4c4e786de5d9878",
+        "ee774e289d0c24101901ac11841b61380e28dba882488037608a30f1f9276db0",
     ),
     "12x20": (
-        "3a6aeeafccc40aee4f6dddf77c7885e42fb477664988a3461db33b84004ceb53",
-        "3e4b620e362d1bdd355d2fc4cee2312f5e60826893d78c933db81a81fa01ccf7",
+        "3cda10d2ec57532a5d3d82d6e17a15084df49e19de7aca74461cafb2aee3110b",
+        "fa360aa0e270ab7a77e53c59a88f93fbcbff72bcc3d1509013807b1dc63a1d26",
     ),
     "16x16": (
-        "46dc7533e0066e7f18e3c11f8eb9dec07ca9d523a683616de791e435e3e4286e",
-        "67782ac667428eb460879546ab793159425f1133534ae67a0c34b6f77279a195",
+        "fce23771ddcc18494f6ea68d55890e9595c9ce74f14b1c9987e8edb53b06511e",
+        "e5540c0c9d12e0a56bb7c2fce4765313590ef88d20561fe8101b01898acadda5",
     ),
     "20x12": (
-        "95c7dec489fcd777c906158947a6a2edc61c0e88bcdf323a09838cbf777e5726",
-        "36d24a4a5b146efd2fe0063fe725f6a9e669bf8972b22ace1c37f10ebc6e65b9",
+        "ab42ba4ac8cdb2079e6ebac9632a34ca3c10345695dfe9fefa3f575b301b9091",
+        "b15b62e0b597aa5720403fbab57a34baf87818b1215445ac476653c919bc9ee3",
     ),
     "24x8": (
-        "5fe40328b38e4bf380679bb59a8f61ee5443589ea5aeb544cc87cbf365247438",
-        "4a71f8d5dc586cd7bcaffb0ec60be052ad4ce8fc26b3810311bf867a85a0fa3d",
+        "33d2e53fe858b291f41e8c2ffe56a67b3f6fd4246ba72e466e863052b198ad6f",
+        "3ed4036fe94cb08ad404d5134c7be5eee47780c697e254289e495328872bdb49",
     ),
     "24x24": (
-        "5a254c3b55828462d9ed9e8438ce404278790c95dd14cfbf9cd4b73e7eb320fa",
-        "b3a0ab3701ffe8b9b0f9c204a6cfeddac69d19f1207097c0278e68a7f808e7cd",
+        "3fc08e4661994126afaf9877be092a3cd3c9728412773c101cc74d6de480deec",
+        "ad79698f30082d903000fa3bdf132172f16ddeb92d8a21c4489c75e680a27280",
     ),
     "32x32": (
-        "f1a7bbfc77912635ebadc59d4369be11e49296369f6c7c332ecd7109e8649665",
-        "d971cf48fa691367263bd76da35f1d8ffbb615b3aedbe7a90ecbaffa76a67d03",
+        "7c2cef7c60b825edfed4133138f6e4ba495e02ab3b785f65989ba125e87ae4fa",
+        "54bec57c974bc9a00937acc3121a1927cfad8dd60842e2c98b962a6517f6a19a",
     ),
 }
 

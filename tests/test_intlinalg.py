@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,14 @@ from hypothesis import strategies as st
 
 from bredon import intlinalg
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
-from snf_helpers import cokernel, dense_replay, kernel_basis, reference_reduction, solve_integer
+from snf_helpers import (
+    classical_reduction,
+    cokernel,
+    dense_replay,
+    kernel_basis,
+    reference_reduction,
+    solve_integer,
+)
 
 
 def cofactor_det(m: IntegerMatrix) -> int:
@@ -100,6 +108,15 @@ def test_empty_shapes_behave_as_zero_maps():
 @given(matrices())
 def test_snf_properties(a):
     assert_valid_snf(a)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_snf_of_dense_matrices_with_multi_round_euclid(seed):
+    # sides 24-32 with entries +-99: most pivots need several rounds of
+    # rounded remainders before their cross is clear
+    rng = random.Random(f"multi-round-{seed}")
+    m, n = rng.randint(24, 32), rng.randint(24, 32)
+    assert_valid_snf(IntegerMatrix.from_rows([[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)]))
 
 
 @settings(max_examples=150)
@@ -270,3 +287,20 @@ def test_operation_logs_of_builtin_differentials_match_the_reference(degree):
 
     for name in wallpaper.list_groups():
         assert_logs_match_the_reference(assemble_differential(wallpaper.get_group(name)[0], degree))
+
+
+def test_homology_path_logs_match_the_classical_reduction():
+    # no pivot on the homology path leaves a remainder in its cross, so the
+    # engine logs what the floor, row-then-column rule logs, and the bases
+    # that compute and dump report stay as that rule gave them
+    from bredon import wallpaper
+    from bredon.gcw import differentials
+
+    for name in wallpaper.list_groups():
+        d1, d2 = differentials(wallpaper.get_group(name)[0])
+        snf1 = smith_normal_form(d1)
+        n, k = d1.cols, snf1.rank
+        # d1, d2 and the degree-1 matrix Q1^-1[k:, :] @ d2 that compute_homology reduces
+        for a in (d1, d2, IntegerMatrix(n - k, n, snf1.Q_inv.entries[k * n :]) @ d2):
+            snf = smith_normal_form(a)
+            assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == classical_reduction(a), name
