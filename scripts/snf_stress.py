@@ -8,6 +8,9 @@ draws shaped like differentials (at most 3 nonzeros per column).  Each
 transform is built by replaying its operation log in reverse, every update
 starting at its pivot's column; the transforms of a sparse draw stay mostly
 zeros, so their adds also touch only the nonzero columns of the source row.
+The kernel, the kernel coordinates and the cokernel generators, each
+replayed from the rank (less the torsion) on, must equal the matching
+slices of the full Q, Q_inv and P_inv.
 Reports throughput and the largest P and Q entries, in bits, over the dense
 draws; exits nonzero on the first violation.
 
@@ -54,9 +57,17 @@ def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
         return f"non-positive invariant factor for {a.to_rows()}"
     if any(e % d for d, e in zip(factors, factors[1:])):
         return f"divisibility chain broken for {a.to_rows()}"
-    k = len(factors)
-    if snf.kernel().cols != n - k or snf.cokernel().free_rank != m - k:
+    k, kernel, cok = len(factors), snf.kernel(), snf.cokernel()
+    if kernel.cols != n - k or cok.free_rank != m - k:
         return f"rank bookkeeping broken for {a.to_rows()}"
+    torsion_positions = [i for i, d in enumerate(factors) if d > 1]
+    if (
+        kernel != snf.Q.take_columns(range(k, n))
+        or snf.kernel_coordinates() != IntegerMatrix(n - k, n, snf.Q_inv.entries[k * n :])
+        or cok.torsion_generators != snf.P_inv.take_columns(torsion_positions)
+        or cok.free_generators != snf.P_inv.take_columns(range(k, m))
+    ):
+        return f"restricted replay differs from the full transform for {a.to_rows()}"
     return None
 
 

@@ -10,8 +10,9 @@ Subcommands:
   user complex from a file and compute it;
 * ``snf``     -- Smith normal form of a matrix given as a JSON row list.
 
-Exit codes: 0 success / all checks pass, 1 verification mismatch,
-2 usage error, 3 invalid input.
+Exit codes: 0 success / all checks pass, 1 verification mismatch (or a
+computed homology that fails the Euler identity, reported on stderr by
+every command), 2 usage error, 3 invalid input.
 """
 
 from __future__ import annotations
@@ -316,7 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except homology.EulerIdentityError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

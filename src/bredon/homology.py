@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
 from .gcw import EquivariantComplex, InvalidComplexError, differentials  # noqa: F401
@@ -29,6 +31,20 @@ Chain = tuple[tuple[str, int], ...]
 
 class UnknownGeneratorError(KeyError):
     pass
+
+
+class EulerIdentityError(ArithmeticError):
+    """The alternating sums of the chain ranks and of the free ranks of the
+    homology differ, so the computation is unsound."""
+
+    def __init__(self, report: "HomologyReport"):
+        self.group_name = report.group_name
+        self.chain_ranks = report.chain_ranks
+        self.free_ranks = tuple(g.free_rank for g in report.groups)
+        super().__init__(
+            f"Euler identity violated for {self.group_name}: chain ranks {list(self.chain_ranks)},"
+            f" free ranks of H_0, H_1, H_2 {list(self.free_ranks)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -115,8 +131,7 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
     # Degree 1: cokernel of im d2 in the coordinates of the kernel basis
     # k1 = Q1[:, k:], which are Q1^-1[k:, :] @ d2; generators return via k1.
     k1 = snf1.kernel()
-    n, k = d1.cols, snf1.rank
-    cok1 = smith_normal_form(IntegerMatrix(n - k, n, snf1.Q_inv.entries[k * n :]) @ d2).cokernel()
+    cok1 = smith_normal_form(snf1.kernel_coordinates() @ d2).cokernel()
     h1 = HomologyGroup(
         degree=1,
         free_rank=cok1.free_rank,
@@ -135,7 +150,7 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
         invariant_factors_d2=snf2.invariant_factors,
     )
     if not report.euler_identity_holds():
-        raise AssertionError(f"Euler identity violated for {complex.group_name}")
+        raise EulerIdentityError(report)
     return report
 
 
@@ -175,24 +190,28 @@ def verify_basis(
     The cycles Z = ker d_n are saturated in the chain group C_n, so C_n/Z is
     free of rank r = rank d_n and C_n/(span + im d_n+1) = Z/(span + im d_n+1)
     + Z^r: the cokernel of [candidates | d_n+1] has the quotient's torsion,
-    and its free rank exceeds the quotient's by r.
+    and its free rank exceeds the quotient's by r.  That matrix is built in
+    one pass, row by row from the chain vectors and the rows of d_n+1, and
+    only its invariant factors are read, so no transform is built.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     vectors = [chain_vector(report, degree, c) for c in candidates]
     n = len(report.labels[degree])
-    cand = IntegerMatrix.from_rows(vectors, cols=n).transpose()
 
     differential = {1: report.d1, 2: report.d2}.get(degree)
     if differential is not None:
-        image = differential @ cand
-        for j in range(cand.cols):
-            if any(image.col(j)):
+        rows = [differential.row(i) for i in range(differential.rows)]
+        for j, vector in enumerate(vectors):
+            if any(sum(map(mul, row, vector)) for row in rows):
                 return BasisVerdict(False, f"candidate {j + 1} is not a cycle")
 
-    boundaries = {0: report.d1, 1: report.d2}.get(degree)
-    # Only the invariant factors are read, so no transform is built.
-    snf = smith_normal_form(cand if boundaries is None else cand.hstack(boundaries))
+    lines = list(zip(*vectors)) if vectors else [()] * n
+    cols = len(vectors)
+    if (boundaries := {0: report.d1, 1: report.d2}.get(degree)) is not None:
+        lines = [line + boundaries.row(i) for i, line in enumerate(lines)]
+        cols += boundaries.cols
+    snf = smith_normal_form(IntegerMatrix(n, cols, tuple(chain.from_iterable(lines))))
     torsion = [d for d in snf.invariant_factors if d > 1]
     cycle_corank = len({1: report.invariant_factors_d1, 2: report.invariant_factors_d2}.get(degree, ()))
     free_rank = n - snf.rank - cycle_corank  # r in the docstring

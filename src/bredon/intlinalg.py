@@ -133,7 +133,9 @@ class SNFDecomposition:
     operations; each of P, P_inv, Q and Q_inv is built on first read by
     replaying its log in reverse (see ``_replay``), so a caller pays only
     for the transforms it reads; D is built from the invariant factors,
-    also on first read.
+    also on first read.  ``kernel``, ``cokernel`` and ``kernel_coordinates``
+    replay only the columns of Q and P_inv, or rows of Q_inv, that they
+    return, and are not cached.
     """
 
     matrix: IntegerMatrix
@@ -168,15 +170,23 @@ class SNFDecomposition:
 
     def kernel(self) -> IntegerMatrix:
         """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
-        return self.Q.take_columns(range(self.rank, self.matrix.cols))
+        return _replay(self.col_ops, self.matrix.cols, inverse=False, transposed=False, first=self.rank)
+
+    def kernel_coordinates(self) -> IntegerMatrix:
+        """The last n-k rows of Q_inv: they send a vector of ker(A) to its
+        coordinates in the ``kernel`` basis."""
+        return _replay(self.col_ops, self.matrix.cols, inverse=True, transposed=True, first=self.rank)
 
     def cokernel(self) -> "CokernelPresentation":
-        torsion_positions = [i for i, d in enumerate(self.invariant_factors) if d > 1]
+        # The factors > 1 end the divisibility chain, so they are the last t before the rank.
+        torsion = tuple(d for d in self.invariant_factors if d > 1)
+        t, m = len(torsion), self.matrix.rows
+        generators = _replay(self.row_ops, m, inverse=True, transposed=False, first=self.rank - t)
         return CokernelPresentation(
-            torsion=tuple(self.invariant_factors[i] for i in torsion_positions),
-            free_rank=self.matrix.rows - self.rank,
-            torsion_generators=self.P_inv.take_columns(torsion_positions),
-            free_generators=self.P_inv.take_columns(range(self.rank, self.matrix.rows)),
+            torsion=torsion,
+            free_rank=m - self.rank,
+            torsion_generators=generators.take_columns(range(t)),
+            free_generators=generators.take_columns(range(t, generators.cols)) if t else generators,
         )
 
 
@@ -234,26 +244,33 @@ class _Worker:
         self.col_ops.append((i, j, 0))
 
 
-def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool) -> IntegerMatrix:
+def _replay(
+    log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool, first: int = 0
+) -> IntegerMatrix:
     """Replay ``log`` in reverse, each operation transposed, as row operations
-    on the size x size identity.
+    on columns ``first`` onward of the size x size identity.
 
     That builds the transpose of the product the log applies: an add
     line_i += k * line_j is replayed as row_j += k * row_i (swaps and
     negations stay), so the row log gives P^T and the column log Q.
     ``inverse`` replays each add inverted instead, row_i -= k * row_j, for
     P_inv and Q_inv^T.  The result is transposed at the end when ``transposed``.
+    Row operations act on each column alone, so the size x (size - first)
+    result is those columns of the full product, bit for bit; transposed,
+    it is rows ``first`` onward.
 
     Replayed in reverse, the operations of pivot t = min(i, j) touch only
-    rows t onward, still zero left of column t, so an update starts there.
-    Each row also keeps the set of columns that may be nonzero, or None once
-    it may be dense; an add from a row with at most size // 4 such columns
-    touches only those (a unit-pivot differential's transforms are mostly zeros).
+    rows t onward, still zero left of column t, so an update starts at
+    column max(t, first).  Each row also keeps the set of columns that may
+    be nonzero, or None once it may be dense; an add from a row with at most
+    size // 4 such columns touches only those (a unit-pivot differential's
+    transforms are mostly zeros).
     """
-    rows = [[0] * size for _ in range(size)]
-    support: list[set[int] | None] = [{i} for i in range(size)]
-    for i in range(size):
-        rows[i][i] = 1
+    width = size - first
+    rows = [[0] * width for _ in range(size)]
+    support: list[set[int] | None] = [set() for _ in range(first)] + [{c} for c in range(width)]
+    for c in range(width):
+        rows[first + c][c] = 1
     sparse = size // 4
     for i, j, k in reversed(log):
         if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
@@ -270,11 +287,14 @@ def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transpose
             if support[i] is not None:
                 support[i] |= source
         else:
-            lo, target = i if i < j else j, rows[i]
+            lo, target = (i if i < j else j) - first, rows[i]
+            if lo < 0:  # cheaper than max() on this hot path
+                lo = 0
             target[lo:] = [a + k * b for a, b in zip(target[lo:], rows[j][lo:])]
             support[i] = None
-    lines = zip(*rows) if transposed else rows
-    return IntegerMatrix(size, size, tuple(chain.from_iterable(lines)))
+    if transposed:
+        return IntegerMatrix(width, size, tuple(chain.from_iterable(zip(*rows))))
+    return IntegerMatrix(size, width, tuple(chain.from_iterable(rows)))
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:

@@ -99,6 +99,16 @@ def test_dump_roundtrip_matches_direct_compute(capsys, tmp_path, name):
     assert json.loads(via_file) == json.loads(direct)
 
 
+@pytest.mark.parametrize("argv", (["compute", "p1"], ["dump", "--from-file", "{path}"]))
+def test_euler_violation_exits_1_with_a_message(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "p1.json"
+    path.write_text(gcw.to_json(wallpaper.get_group("p1")[0]), encoding="utf-8")
+    monkeypatch.setattr(bredon.homology.HomologyReport, "euler_identity_holds", lambda self: False)
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))  # returns, so no traceback
+    assert code == 1 and out == ""
+    assert err == "Euler identity violated for p1: chain ranks [1, 2, 1], free ranks of H_0, H_1, H_2 [1, 2, 1]\n"
+
+
 def test_dump_requires_exactly_one_mode(capsys):
     code, _, err = run(capsys, "dump")
     assert code == 2

@@ -100,6 +100,14 @@ def test_invalid_complex_rejected():
         compute_homology(complex)
 
 
+def test_euler_violation_raises_a_named_error(monkeypatch):
+    monkeypatch.setattr(homology.HomologyReport, "euler_identity_holds", lambda self: False)
+    with pytest.raises(homology.EulerIdentityError) as excinfo:
+        compute_homology(wallpaper.get_group("p1")[0])
+    assert excinfo.value.chain_ranks == (1, 2, 1) and excinfo.value.free_ranks == (1, 2, 1)
+    assert str(excinfo.value) == "Euler identity violated for p1: chain ranks [1, 2, 1], free ranks of H_0, H_1, H_2 [1, 2, 1]"
+
+
 # ---------------------------------------------------------------------------
 # basis verification
 

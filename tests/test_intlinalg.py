@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bredon import intlinalg
@@ -267,6 +267,46 @@ def test_replay_matches_the_dense_reference(a):
             for transposed in (False, True):
                 got = intlinalg._replay(log, size, inverse, transposed)
                 assert got == dense_replay(log, size, inverse, not transposed)
+
+
+@st.composite
+def shaped_matrices(draw, max_dim=8):
+    """Dense (entries +-20) or sparse 0/+-1 matrices, empty shapes included."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entries = st.integers(-20, 20) if draw(st.booleans()) else st.sampled_from((0, 0, 0, 1, -1))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    return IntegerMatrix.from_rows(rows, cols=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_matrices())
+@example(IntegerMatrix.zeros(0, 3))
+@example(IntegerMatrix.zeros(3, 0))
+@example(IntegerMatrix.zeros(3, 4))
+@example(IntegerMatrix.identity(4))
+@example(IntegerMatrix.from_rows([[2, 0, 0], [0, 6, 0]]))  # full row rank, all torsion
+@example(IntegerMatrix.from_rows([[4, 0], [0, 12], [0, 0]]))  # full column rank, all torsion
+def test_restricted_replays_are_slices_of_the_full_transforms(a):
+    snf = smith_normal_form(a)
+    m, n, k = a.rows, a.cols, snf.rank
+    assert snf.kernel() == snf.Q.take_columns(range(k, n))
+    assert snf.kernel_coordinates() == IntegerMatrix(n - k, n, snf.Q_inv.entries[k * n :])
+    cok = snf.cokernel()
+    torsion_positions = [i for i, d in enumerate(snf.invariant_factors) if d > 1]
+    assert cok.torsion == tuple(snf.invariant_factors[i] for i in torsion_positions)
+    assert cok.torsion_generators == snf.P_inv.take_columns(torsion_positions)
+    assert cok.free_generators == snf.P_inv.take_columns(range(k, m))
+    # every first column, for all four transforms: columns of the untransposed product
+    for log, size in ((snf.row_ops, m), (snf.col_ops, n)):
+        for inverse in (False, True):
+            for transposed in (False, True):
+                full = intlinalg._replay(log, size, inverse, transposed)
+                for first in range(size + 1):
+                    part = intlinalg._replay(log, size, inverse, transposed, first)
+                    if transposed:
+                        assert part == IntegerMatrix(size - first, size, full.entries[first * size :])
+                    else:
+                        assert part == full.take_columns(range(first, size))
 
 
 def assert_logs_match_the_reference(a: IntegerMatrix) -> None:

@@ -5,10 +5,12 @@ Counts are taken by patching ``intlinalg._Worker`` (one per Smith normal
 form), every binding of ``gcw.assemble_differential`` and
 ``chartab.build_table`` (the lookups made from ``gcw``); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
-counted by patching ``intlinalg._replay``.  The verdicts of
-``verify_basis`` are checked against the kernel-coordinate algorithm it
-replaced, rebuilt here from ``kernel_basis``, ``solve_integer`` and
-``cokernel`` of the tests' ``snf_helpers``.
+counted by patching ``intlinalg._replay``, keyed by the transform and the
+first column it keeps.  ``compute_homology`` replays only the columns it
+reads, ``bredon snf`` the full P and Q, and ``verify_basis`` none.  The
+verdicts of ``verify_basis`` are checked against the kernel-coordinate
+algorithm it replaced, rebuilt here from ``kernel_basis``,
+``solve_integer`` and ``cokernel`` of the tests' ``snf_helpers``.
 """
 
 import dataclasses
@@ -59,12 +61,13 @@ TRANSFORMS = {(False, True): "P", (True, False): "P_inv", (False, False): "Q", (
 
 @pytest.fixture
 def built(monkeypatch):
+    """Counts replays by (transform, first column kept); first 0 builds the whole transform."""
     counts = Counter()
     replay = intlinalg._replay
 
-    def counting_replay(log, size, inverse, transposed):
-        counts[TRANSFORMS[inverse, transposed]] += 1
-        return replay(log, size, inverse, transposed)
+    def counting_replay(log, size, inverse, transposed, first=0):
+        counts[TRANSFORMS[inverse, transposed], first] += 1
+        return replay(log, size, inverse, transposed, first)
 
     monkeypatch.setattr(intlinalg, "_replay", counting_replay)
     return counts
@@ -136,12 +139,27 @@ def test_compute_homology_derives_the_layout_once(monkeypatch, name):
     assert calls["bredon.gcw"] == len(complex.orbits)
 
 
+def restricted_replays(report) -> Counter:
+    """The (transform, first) replays ``compute_homology`` makes for ``report``.
+
+    d1 of rank k1: P_inv from k1 - t0 for the torsion and free generators of
+    H_0, Q from k1 for its kernel, Q_inv's rows from k1 for d2 in kernel
+    coordinates; d2 of rank k2: Q from k2 for its kernel; the H_1 matrix of
+    rank k: P_inv from k - t1 for its cokernel.
+    """
+    k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
+    h0, h1 = report.group(0), report.group(1)
+    k = report.d1.cols - k1 - h1.free_rank
+    return Counter(
+        [("P_inv", k1 - len(h0.torsion)), ("Q", k1), ("Q_inv", k1), ("Q", k2), ("P_inv", k - len(h1.torsion))]
+    )
+
+
 @pytest.mark.parametrize("name", ALL_GROUPS)
-def test_compute_homology_builds_five_transforms(built, name):
+def test_compute_homology_builds_five_transforms(built, reports, name):
     compute_homology(wallpaper.get_group(name)[0])
-    # d1: P_inv for H_0, Q for its kernel, Q_inv for d2 in kernel coordinates;
-    # d2: Q for its kernel; the H_1 matrix: P_inv for its cokernel
-    assert built == {"P_inv": 2, "Q": 2, "Q_inv": 1}
+    # a replay from first 0 builds a full transform, only where every column is read
+    assert built == restricted_replays(reports[name])
 
 
 def test_verify_basis_builds_no_transform(reports, built):
@@ -152,7 +170,7 @@ def test_verify_basis_builds_no_transform(reports, built):
     assert built == {}
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify"]) == 1  # the cm reference basis is rejected
-    assert built == {"P_inv": 2 * len(ALL_GROUPS), "Q": 2 * len(ALL_GROUPS), "Q_inv": len(ALL_GROUPS)}
+    assert built == sum((restricted_replays(reports[name]) for name in ALL_GROUPS), Counter())
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
@@ -161,7 +179,7 @@ def test_snf_builds_p_and_q(built, tmp_path, fmt):
     path.write_text("[[2, 4, 4], [-6, 6, 12], [10, -4, -16]]", encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["snf", str(path), "--format", fmt]) == 0
-    assert built == {"P": 1, "Q": 1}
+    assert built == {("P", 0): 1, ("Q", 0): 1}
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,8 +201,8 @@ def test_image_of_d2_in_kernel_coordinates_is_a_row_slice(reports, name):
     d1, d2 = reports[name].d1, reports[name].d2
     snf = smith_normal_form(d1)
     n, k = d1.cols, snf.rank
-    sliced = IntegerMatrix(n - k, n, snf.Q_inv.entries[k * n :]) @ d2
-    assert sliced == solve_integer(kernel_basis(d1), d2)
+    assert snf.kernel_coordinates() == IntegerMatrix(n - k, n, snf.Q_inv.entries[k * n :])
+    assert snf.kernel_coordinates() @ d2 == solve_integer(kernel_basis(d1), d2)
 
 
 def kernel_coordinate_verdict(report, degree, candidates) -> tuple[bool, str]:
