@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification mismatch (or a
 computed homology that fails the Euler identity, reported on stderr by
-every command), 2 usage error, 3 invalid input.
+every command, or a reader that closed stdout early, as ``| head`` does),
+2 usage error, 3 invalid input.
 """
 
 from __future__ import annotations
@@ -104,6 +105,8 @@ def _print_extras(rep, show_differentials: bool, show_snf: bool) -> None:
 def cmd_compute(args) -> int:
     if args.group is None and not args.all:
         return _fail_usage("compute: give a group name or --all")
+    if args.group is not None and args.all:
+        return _fail_usage(f"compute: give a group name or --all, not both (got {args.group!r} and --all)")
     if not args.all and args.group not in wallpaper.list_groups():
         return _fail_usage(f"unknown group {args.group!r}; valid names: {', '.join(wallpaper.list_groups())}")
     names = wallpaper.list_groups() if args.all else [args.group]
@@ -318,9 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        status = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
     except homology.EulerIdentityError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_MISMATCH
+    except BrokenPipeError:
+        # The reader closed stdout.  As the SIGPIPE notes of the ``signal``
+        # docs advise, point it at devnull so the final flush stays silent;
+        # a stdout the caller redirected is left alone.
+        if sys.stdout is sys.__stdout__:
+            import os
+
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_MISMATCH
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from . import chartab
@@ -70,7 +70,6 @@ class EquivariantComplex:
     group_name: str
     orbits: tuple[CellOrbit, ...]
     boundary: tuple[BoundaryTerm, ...]
-    metadata: object = field(default=None, compare=False)
 
     def orbits_of_dimension(self, d: int) -> tuple[CellOrbit, ...]:
         return tuple(o for o in self.orbits if o.dimension == d)
@@ -227,7 +226,7 @@ def to_json(complex: EquivariantComplex) -> str:
     return dumps(to_json_dict(complex))
 
 
-def from_json_dict(data: dict, metadata: object = None) -> EquivariantComplex:
+def from_json_dict(data: dict) -> EquivariantComplex:
     from . import schemas
 
     schemas.check(data, "complex")
@@ -239,5 +238,4 @@ def from_json_dict(data: dict, metadata: object = None) -> EquivariantComplex:
         boundary=tuple(
             BoundaryTerm(t["source"], t["target"], t["sign"], t["embedding"]) for t in data["boundary"]
         ),
-        metadata=metadata,
     )

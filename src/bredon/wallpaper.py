@@ -1,12 +1,13 @@
 """Built-in definitions of the 17 wallpaper groups.
 
-Each group carries a metadata record (point group, split extension or
-not, torsion primes, isometry inventory) and an equivariant cell
-structure for its action on the plane: one orbit of 2-cells with trivial
-stabilizer, orbits of edges and vertices with cyclic or dihedral
-stabilizers, and signed boundary terms with explicit stabilizer
-embeddings.  The complexes are declarative data so they can be dumped,
-diffed and audited; ``gcw.validate`` accepts every one of them.
+Each group has an equivariant cell structure for its action on the
+plane: one orbit of 2-cells with trivial stabilizer, orbits of edges and
+vertices with cyclic or dihedral stabilizers, and signed boundary terms
+with explicit stabilizer embeddings.  The complexes are declarative data
+so they can be dumped, diffed and audited; ``gcw.validate`` accepts every
+one of them.  Each group's record holds three hand-entered fields (point
+group, split extension or not, glide reflections) and three read off its
+cells (torsion primes, reflections, rotation orders).
 """
 
 from __future__ import annotations
@@ -14,47 +15,42 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import chartab
 from .gcw import BoundaryTerm, CellOrbit, EquivariantComplex
 
 
 @dataclass(frozen=True)
 class GroupRecord:
-    """Metadata of one wallpaper group."""
+    """One wallpaper group: ``_HAND`` gives three fields, the stabilizers of its cells the other three."""
 
     name: str
     point_group: str
     split: str  # "yes" | "no" | "n/a"
-    torsion_primes: frozenset[int]
-    has_reflections: bool
+    torsion_primes: frozenset[int]  # the primes dividing some stabilizer order
+    has_reflections: bool  # some edge orbit, a mirror, has a nontrivial stabilizer
     has_glide_reflections: bool
-    rotation_orders: frozenset[int]
+    rotation_orders: frozenset[int]  # n for each D_n vertex and each C_n vertex (n >= 2) on no mirror
 
 
-def _rec(name, point_group, split, torsion, refl, glide, rot) -> GroupRecord:
-    return GroupRecord(name, point_group, split, frozenset(torsion), refl, glide, frozenset(rot))
-
-
-_RECORDS = {
-    r.name: r
-    for r in [
-        _rec("p1", "C1", "n/a", (), False, False, ()),
-        _rec("p2", "C2", "yes", (2,), False, False, (2,)),
-        _rec("pm", "C2", "yes", (2,), True, False, ()),
-        _rec("pg", "C2", "no", (), False, True, ()),
-        _rec("cm", "C2", "yes", (2,), True, True, ()),
-        _rec("pmm", "D2", "yes", (2,), True, False, (2,)),
-        _rec("pmg", "D2", "no", (2,), True, True, (2,)),
-        _rec("pgg", "D2", "no", (2,), False, True, (2,)),
-        _rec("cmm", "D2", "yes", (2,), True, True, (2,)),
-        _rec("p4", "C4", "yes", (2,), False, False, (2, 4)),
-        _rec("p4m", "D4", "no", (2,), True, True, (2, 4)),
-        _rec("p4g", "D4", "yes", (2,), True, True, (2, 4)),
-        _rec("p3", "C3", "yes", (3,), False, False, (3,)),
-        _rec("p3m1", "D3", "yes", (2, 3), True, True, (3,)),
-        _rec("p31m", "D3", "yes", (2, 3), True, True, (3,)),
-        _rec("p6", "C6", "yes", (2, 3), False, False, (2, 3, 6)),
-        _rec("p6m", "D6", "yes", (2, 3), True, True, (2, 3, 6)),
-    ]
+# Point group, split extension or not, glide reflections: what stabilizers cannot give.
+_HAND = {
+    "p1": ("C1", "n/a", False),
+    "p2": ("C2", "yes", False),
+    "pm": ("C2", "yes", False),
+    "pg": ("C2", "no", True),
+    "cm": ("C2", "yes", True),
+    "pmm": ("D2", "yes", False),
+    "pmg": ("D2", "no", True),
+    "pgg": ("D2", "no", True),
+    "cmm": ("D2", "yes", True),
+    "p4": ("C4", "yes", False),
+    "p4m": ("D4", "no", True),
+    "p4g": ("D4", "yes", True),
+    "p3": ("C3", "yes", False),
+    "p3m1": ("D3", "yes", True),
+    "p31m": ("D3", "yes", True),
+    "p6": ("C6", "yes", False),
+    "p6m": ("D6", "yes", True),
 }
 
 # Cell structures: orbits are (id, dim, stabilizer, label stem); boundary
@@ -432,25 +428,28 @@ class UnknownGroupError(KeyError):
 
 def list_groups() -> list[str]:
     """The 17 group names in their conventional order."""
-    return list(_RECORDS)
+    return list(_CELLS)
 
 
 @lru_cache(maxsize=None)
 def get_group(name: str) -> tuple[EquivariantComplex, GroupRecord]:
     if name not in _CELLS:
         raise UnknownGroupError(name)
-    record = _RECORDS[name]
     orbit_data, boundary_data = _CELLS[name]
     complex = EquivariantComplex(
         group_name=name,
         orbits=tuple(CellOrbit(*o) for o in orbit_data),
         boundary=tuple(BoundaryTerm(*t) for t in boundary_data),
-        metadata=record,
     )
+    mirrors = {o.orbit_id for o in complex.orbits_of_dimension(1) if o.stabilizer != "C1"}
+    on_mirror = {t.target for t in complex.boundary if t.source in mirrors}
+    rotations = {
+        int(o.stabilizer[1:])
+        for o in complex.orbits_of_dimension(0)
+        if o.stabilizer[0] == "D" or (o.stabilizer != "C1" and o.orbit_id not in on_mirror)
+    }
+    orders = {chartab.GROUP_ORDERS[o.stabilizer] for o in complex.orbits}
+    torsion = {p for n in orders for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
+    point_group, split, glide = _HAND[name]
+    record = GroupRecord(name, point_group, split, frozenset(torsion), bool(mirrors), glide, frozenset(rotations))
     return complex, record
-
-
-def get_record(name: str) -> GroupRecord:
-    if name not in _RECORDS:
-        raise UnknownGroupError(name)
-    return _RECORDS[name]

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import gc
 import io
@@ -44,6 +45,11 @@ def test_compute_unknown_group(capsys):
 def test_compute_requires_group_or_all(capsys):
     code, _, err = run(capsys, "compute")
     assert code == 2 and "--all" in err
+
+
+def test_compute_group_and_all_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "compute", "p4m", "--all")
+    assert (code, out) == (2, "") and "'p4m'" in err and "--all" in err
 
 
 def test_compute_all_json_is_schema_valid_and_deterministic(capsys):
@@ -549,3 +555,28 @@ def test_main_looks_up_the_command_function_on_each_call(capsys, monkeypatch):
     assert main(["compute", "p1"]) == 0 and cli.build_parser() is cli.build_parser()
     monkeypatch.setattr(cli, "cmd_compute", lambda args: 42)
     assert main(["compute", "p1"]) == 42
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
+    # the result is several pipe buffers long, so the process still writes after the reader closes
+    matrix = tmp_path / "identity.json"
+    matrix.write_text(json.dumps([[int(i == j) for j in range(200)] for i in range(200)]), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    argv = [sys.executable, "-m", "bredon", "snf", str(matrix)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.read(10) == b"invariant "
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+def test_closed_pipe_leaves_a_redirected_stdout_alone():
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    before = os.fstat(1)
+    with contextlib.redirect_stdout(ClosedPipe()):
+        assert main(["compute", "p1"]) == 1
+    after = os.fstat(1)
+    assert (after.st_dev, after.st_ino) == (before.st_dev, before.st_ino)
