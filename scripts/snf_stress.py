@@ -4,7 +4,11 @@
 Draws random integer matrices, recomputes D = P*A*Q and the transform
 inverses, and checks shape, positivity and the divisibility chain.
 Trials alternate dense draws (entries up to --max-entry) with sparse 0/+-1
-draws shaped like differentials (at most 3 nonzeros per column).  Each
+draws shaped like differentials (at most 3 nonzeros per column); --sparse
+draws only the latter.  Every draw is also reduced on both row storages of
+the reduction, list rows and dict rows, which must log the same operations
+as ``smith_normal_form``; the report counts the draws that
+``smith_normal_form`` reduced on each storage.  Each
 transform is built by replaying its operation log in reverse, every update
 starting at its pivot's column; the transforms of a sparse draw stay mostly
 zeros, so their adds also touch only the nonzero columns of the source row.
@@ -15,6 +19,7 @@ Reports throughput and the largest P and Q entries, in bits, over the dense
 draws; exits nonzero on the first violation.
 
     python scripts/snf_stress.py --count 5000 --max-dim 10 --max-entry 99
+    python scripts/snf_stress.py --count 200 --max-dim 96 --sparse
 """
 
 from __future__ import annotations
@@ -24,7 +29,10 @@ import random
 import sys
 import time
 
+from bredon import intlinalg
 from bredon.intlinalg import IntegerMatrix, SNFDecomposition, smith_normal_form
+
+STORAGES = (intlinalg._DenseRows, intlinalg._SparseRows)
 
 
 def draw(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> IntegerMatrix:
@@ -48,6 +56,11 @@ def bits(m: IntegerMatrix) -> int:
 
 def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
     m, n = a.rows, a.cols
+    log = (snf.invariant_factors, snf.row_ops, snf.col_ops)
+    for storage in STORAGES:
+        other = intlinalg._reduce(a, storage(a))
+        if (other.invariant_factors, other.row_ops, other.col_ops) != log:
+            return f"{storage.__name__} logs other operations for {a.to_rows()}"
     if snf.P @ a @ snf.Q != snf.D:
         return f"D != P A Q for {a.to_rows()}"
     if snf.P @ snf.P_inv != IntegerMatrix.identity(m) or snf.Q @ snf.Q_inv != IntegerMatrix.identity(n):
@@ -77,15 +90,18 @@ def main() -> int:
     parser.add_argument("--max-dim", type=int, default=8)
     parser.add_argument("--max-entry", type=int, default=9)
     parser.add_argument("--seed", type=int, default=0x5EED)
+    parser.add_argument("--sparse", action="store_true", help="draw only sparse 0/+-1 matrices")
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
     started = time.monotonic()
     p_bits = q_bits = 0
+    took = dict.fromkeys(STORAGES, 0)
     for trial in range(args.count):
-        sparse = trial % 2 == 1
+        sparse = args.sparse or trial % 2 == 1
         a = draw(rng, args.max_dim, args.max_entry, sparse)
         snf = smith_normal_form(a)
+        took[intlinalg._row_storage(a)] += 1
         if problem := check_one(a, snf):
             print(f"trial {trial}: {problem}", file=sys.stderr)
             return 1
@@ -95,7 +111,8 @@ def main() -> int:
     rate = args.count / elapsed if elapsed else float("inf")
     print(
         f"{args.count} decompositions verified in {elapsed:.2f}s ({rate:.0f}/s);"
-        f" largest dense transform entries: P {p_bits} bits, Q {q_bits} bits"
+        f" reduced on list rows {took[intlinalg._DenseRows]}, on dict rows {took[intlinalg._SparseRows]}"
+        + ("" if args.sparse else f"; largest dense transform entries: P {p_bits} bits, Q {q_bits} bits")
     )
     return 0
 

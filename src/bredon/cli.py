@@ -13,7 +13,10 @@ Subcommands:
 Exit codes: 0 success / all checks pass, 1 verification mismatch (or a
 computed homology that fails the Euler identity, reported on stderr by
 every command, or a reader that closed stdout early, as ``| head`` does),
-2 usage error, 3 invalid input.
+2 usage error (including an option the chosen mode would ignore:
+``--show-differentials`` or ``--show-snf`` with ``compute --format json``,
+``--format`` with ``dump --dump-complex`` or ``--dump-tables``), 3 invalid
+input.
 """
 
 from __future__ import annotations
@@ -109,6 +112,8 @@ def cmd_compute(args) -> int:
         return _fail_usage(f"compute: give a group name or --all, not both (got {args.group!r} and --all)")
     if not args.all and args.group not in wallpaper.list_groups():
         return _fail_usage(f"unknown group {args.group!r}; valid names: {', '.join(wallpaper.list_groups())}")
+    if args.format == "json" and (args.show_differentials or args.show_snf):
+        return _fail_usage("compute: --show-differentials and --show-snf print text, not --format json")
     names = wallpaper.list_groups() if args.all else [args.group]
     reports = [homology.compute_homology(wallpaper.get_group(name)[0]) for name in names]
     if args.format == "json":
@@ -225,6 +230,9 @@ def cmd_dump(args) -> int:
     chosen = [x for x in (args.dump_complex, "tables" if args.dump_tables else None, args.from_file) if x]
     if len(chosen) != 1:
         return _fail_usage("dump: give exactly one of --dump-complex, --dump-tables, --from-file")
+    if args.format is not None and not args.from_file:
+        mode = "--dump-complex" if args.dump_complex else "--dump-tables"
+        return _fail_usage(f"dump: {mode} always writes JSON; --format applies to --from-file only")
     if args.dump_complex:
         name = args.dump_complex
         if name not in wallpaper.list_groups():
@@ -310,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("--dump-complex", metavar="NAME", help="emit a built-in cell structure")
     p_dump.add_argument("--dump-tables", action="store_true", help="emit all nine character tables")
     p_dump.add_argument("--from-file", metavar="PATH", help="load a complex and compute its homology")
-    p_dump.add_argument("--format", choices=("text", "json"), default="text")
+    p_dump.add_argument("--format", choices=("text", "json"), help="report format for --from-file (default text)")
 
     p_snf = sub.add_parser("snf", help="Smith normal form of a JSON matrix (list of integer rows)")
     p_snf.add_argument("matrix", help="path to a JSON file, or - for stdin")

@@ -13,13 +13,22 @@ the nearest integer, so each Euclidean remainder is at most half the pivot
 and a dense matrix takes fewer operations.  Where no pivot leaves a remainder
 in its cross, as in every matrix the homology of a built-in group reduces,
 this logs the same operations as floor quotients taken row then column.
+
+The reduction runs on one of two row storages, picked by the density of its
+input.  A matrix with at most one entry in eight nonzero, as a differential
+of a subdivided complex, keeps each row as a {column: value} dict of its
+nonzeros and each column's set of nonzero rows, so an operation costs the
+nonzeros it touches; any other matrix keeps list rows.  One reduction runs
+the same pivot rule on both, so both log the same operations and every
+transform, kernel and cokernel is the same.  A product likewise walks only
+the nonzero entries of its left factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from collections.abc import Iterable, Sequence
 
 
@@ -95,19 +104,17 @@ class IntegerMatrix:
         return not any(self.entries)
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """The product; only the nonzero entries of ``self`` cost a row update."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [0] * (self.rows * other.cols)
-        for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a:
-                    kb = k * other.cols
-                    ob = i * other.cols
-                    for j in range(other.cols):
-                        out[ob + j] += a * other.entries[kb + j]
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
+        a, b, n, p = self.entries, other.entries, self.cols, other.cols
+        out = [0] * (self.rows * p)
+        for q in compress(range(len(a)), a):
+            i, k = divmod(q, n)
+            v, out_at, b_at = a[q], i * p, k * p
+            for j in range(p):
+                out[out_at + j] += v * b[b_at + j]
+        return IntegerMatrix(self.rows, p, tuple(out))
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
@@ -205,7 +212,7 @@ class CokernelPresentation:
     free_generators: IntegerMatrix
 
 
-class _Worker:
+class _DenseRows:
     """Mutable row/column reduction of D that logs every operation it applies.
 
     A log entry (i, j, k) is a swap of lines i and j when k == 0 (an add
@@ -214,11 +221,14 @@ class _Worker:
     as D <- D*R.  Every operation of pivot t has min(i, j) == t, and rows
     and columns of the earlier pivots are zero off the diagonal, so an
     operation changes only the active block from row and column t on.
+
+    Rows are lists here; ``_SparseRows`` stores the same matrix as dicts of
+    its nonzeros.  Both read ``d[i][j]`` alike, and the one reduction
+    (``_reduce``) applies the same operations to either.
     """
 
     def __init__(self, a: IntegerMatrix):
-        self.m, self.n = a.rows, a.cols
-        self.d = a.to_rows()
+        self.m, self.n, self.d = a.rows, a.cols, a.to_rows()
         self.row_ops: list[tuple[int, int, int]] = []
         self.col_ops: list[tuple[int, int, int]] = []
 
@@ -231,9 +241,7 @@ class _Worker:
         self.row_ops.append((i, i, -1))
 
     def row_add(self, i: int, j: int, k: int) -> None:
-        """row_i += k * row_j"""
-        if not k:
-            return
+        """row_i += k * row_j, for k != 0"""
         lo, target = i if i < j else j, self.d[i]
         target[lo:] = [a + k * b for a, b in zip(target[lo:], self.d[j][lo:])]
         self.row_ops.append((i, j, k))
@@ -242,6 +250,128 @@ class _Worker:
         for r in self.d[i if i < j else j :]:
             r[i], r[j] = r[j], r[i]
         self.col_ops.append((i, j, 0))
+
+    def col_add(self, j: int, t: int, k: int) -> None:
+        """column_j += k * column_t, for k != 0; column t is zero below the pivot, so only row t changes."""
+        row = self.d[t]
+        row[j] += k * row[t]
+        self.col_ops.append((j, t, k))
+
+    def below(self, t: int) -> range:
+        """The rows below the pivot t that may meet column t, by increasing index."""
+        return range(t + 1, self.m)
+
+    def right(self, t: int) -> range:
+        """The columns right of the pivot t that may meet row t, by increasing index."""
+        return range(t + 1, self.n)
+
+    def find_pivot(self, t: int) -> tuple[int, int] | None:
+        """The first entry of least |value| of the active block, in row-major order."""
+        best, best_abs = None, 0
+        for i in range(t, self.m):
+            row = self.d[i]
+            for j in range(t, self.n):
+                v = row[j]
+                if v and (best is None or abs(v) < best_abs):
+                    best, best_abs = (i, j), abs(v)
+                    if best_abs == 1:
+                        return best
+        return best
+
+    def offender(self, t: int, piv: int) -> int | None:
+        """The first row below the pivot with an entry that ``piv`` does not divide."""
+        for i in range(t + 1, self.m):
+            if any(v % piv for v in self.d[i][t + 1 :]):
+                return i
+        return None
+
+
+class _SparseRows:
+    """``_DenseRows`` with rows as {column: value} dicts of their nonzeros
+    and ``cols[j]`` the set of rows whose entry in column j is nonzero, so an
+    operation costs the nonzeros of the lines it touches."""
+
+    def __init__(self, a: IntegerMatrix):
+        m, n, e = a.rows, a.cols, a.entries
+        d: list[dict[int, int]] = [{} for _ in range(m)]
+        cols: list[set[int]] = [set() for _ in range(n)]
+        for p in compress(range(len(e)), e):
+            i, j = divmod(p, n)
+            d[i][j] = e[p]
+            cols[j].add(i)
+        self.m, self.n, self.d, self.cols = m, n, d, cols
+        self.row_ops: list[tuple[int, int, int]] = []
+        self.col_ops: list[tuple[int, int, int]] = []
+
+    def row_swap(self, i: int, j: int) -> None:
+        d, cols, pair = self.d, self.cols, {i, j}
+        for c in d[i].keys() ^ d[j].keys():  # one of the two rows meets column c
+            cols[c] ^= pair
+        d[i], d[j] = d[j], d[i]
+        self.row_ops.append((i, j, 0))
+
+    def row_negate(self, i: int) -> None:
+        self.d[i] = {c: -v for c, v in self.d[i].items()}
+        self.row_ops.append((i, i, -1))
+
+    def row_add(self, i: int, j: int, k: int) -> None:
+        target, cols = self.d[i], self.cols
+        for c, v in self.d[j].items():
+            if c not in target:
+                target[c] = k * v
+                cols[c].add(i)
+            elif x := target[c] + k * v:
+                target[c] = x
+            else:
+                del target[c]
+                cols[c].remove(i)
+        self.row_ops.append((i, j, k))
+
+    def col_swap(self, i: int, j: int) -> None:
+        d, cols = self.d, self.cols
+        for r in cols[i] | cols[j]:
+            row = d[r]
+            a, b = row.pop(i, 0), row.pop(j, 0)
+            if b:
+                row[i] = b
+            if a:
+                row[j] = a
+        cols[i], cols[j] = cols[j], cols[i]
+        self.col_ops.append((i, j, 0))
+
+    def col_add(self, j: int, t: int, k: int) -> None:
+        row = self.d[t]
+        if x := row[j] + k * row[t]:
+            row[j] = x
+        else:
+            del row[j]
+            self.cols[j].remove(t)
+        self.col_ops.append((j, t, k))
+
+    # The pivot d[t][t] is nonzero, and rows above t and columns left of t
+    # are zero off the diagonal, so t sorts first.
+    def below(self, t: int) -> list[int]:
+        return sorted(self.cols[t])[1:]
+
+    def right(self, t: int) -> list[int]:
+        return sorted(self.d[t])[1:]
+
+    def find_pivot(self, t: int) -> tuple[int, int] | None:
+        best = None  # (|value|, i, j) of the first least entry so far
+        for i in range(t, self.m):
+            if row := self.d[i]:
+                least, j = min(zip(map(abs, row.values()), row))
+                if best is None or least < best[0]:
+                    best = (least, i, j)
+                    if least == 1:
+                        break
+        return None if best is None else best[1:]
+
+    def offender(self, t: int, piv: int) -> int | None:
+        for i in range(t + 1, self.m):
+            if any(v % piv for v in self.d[i].values()):
+                return i
+        return None
 
 
 def _replay(
@@ -300,13 +430,25 @@ def _replay(
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
     """Classical reduction with minimal-|pivot| selection.
 
-    Invariant factors come out positive and each divides the next.
+    Invariant factors come out positive and each divides the next.  A
+    matrix with at most one entry in eight nonzero, as a differential of a
+    subdivided complex, is reduced on dict rows of its nonzeros, any other
+    on list rows; both storages log the same operations.
     """
-    w = _Worker(a)
-    m, n = w.m, w.n
+    return _reduce(a, _row_storage(a)(a))
+
+
+def _row_storage(a: IntegerMatrix) -> type[_DenseRows] | type[_SparseRows]:
+    """Dict rows when at most one entry in eight is nonzero, else list rows."""
+    e = a.entries
+    return _SparseRows if 8 * (len(e) - e.count(0)) <= len(e) else _DenseRows
+
+
+def _reduce(a: IntegerMatrix, w: _DenseRows | _SparseRows) -> SNFDecomposition:
+    """Reduce ``a``, stored in ``w``: the one reduction of both storages."""
     t = 0
-    while t < min(m, n):
-        pivot = _find_pivot(w, t)
+    while t < min(w.m, w.n):
+        pivot = w.find_pivot(t)
         if pivot is None:
             break
         pi, pj = pivot
@@ -327,21 +469,7 @@ def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
     )
 
 
-def _find_pivot(w: _Worker, t: int) -> tuple[int, int] | None:
-    best = None
-    best_abs = 0
-    for i in range(t, w.m):
-        row = w.d[i]
-        for j in range(t, w.n):
-            v = row[j]
-            if v and (best is None or abs(v) < best_abs):
-                best, best_abs = (i, j), abs(v)
-                if best_abs == 1:
-                    return best
-    return best
-
-
-def _clear_cross(w: _Worker, t: int) -> None:
+def _clear_cross(w: _DenseRows | _SparseRows, t: int) -> None:
     """Zero out column t below the pivot and row t right of it.
 
     Column t is cleared first: while a row add leaves a remainder below the
@@ -349,57 +477,61 @@ def _clear_cross(w: _Worker, t: int) -> None:
     remainder.  Quotients are rounded to the nearest integer, so each
     remainder is at most half the pivot in absolute value.  A round that
     leaves no remainder applies exact quotients, which floor quotients taken
-    row then column would match operation for operation.
+    row then column would match operation for operation.  Each pass walks, by
+    increasing index, a snapshot of the lines that may meet row or column t
+    (all of them on list rows): no swap or add changes an entry of the cross
+    that the pass has still to visit.
     """
     d = w.d
     while True:
         # Pull the smallest nonzero of the pivot cross into the corner first,
-        # so the Euclidean remainders shrink monotonically.
-        least = abs(d[t][t])
-        for i in range(t + 1, w.m):
+        # so the Euclidean remainders shrink monotonically.  A swap with line
+        # t trades two nonzeros of the cross, so the lines that meet it stay
+        # the same, until a column swap brings in another column t.
+        least, rows = abs(d[t][t]), w.below(t)
+        for i in rows:
             if (v := d[i][t]) and abs(v) < least:
                 w.row_swap(t, i)
                 least = abs(v)
-        for j in range(t + 1, w.n):
-            if (v := d[t][j]) and abs(v) < least:
+        pivot_row, cols, swapped = d[t], w.right(t), False
+        for j in cols:
+            if (v := pivot_row[j]) and abs(v) < least:
                 w.col_swap(t, j)
-                least = abs(v)
-        # round(v / piv) is (2v + piv) // (2 piv).  No quotient is 0: the
-        # pivot is the least nonzero of its cross, so |v / piv| >= 1.
+                least, swapped = abs(v), True
+        if swapped:
+            rows = w.below(t)
+        # round(v / piv) is the quotient q of 2v + piv = q * 2piv + r, and the
+        # remainder v - q * piv is (r - piv) / 2, zero when r == piv.  Below the
+        # pivot q can be 0: a column swap brings in entries never compared
+        # with the pivot.  That add is not applied, and its entry stays as a
+        # remainder for the next round.  Right of the pivot every entry was
+        # compared, so |v / piv| >= 1 there.
         piv, twice, dirty = d[t][t], 2 * d[t][t], False
-        for i in range(t + 1, w.m):
+        for i in rows:
             if v := d[i][t]:
-                w.row_add(i, t, -((2 * v + piv) // twice))
-                if d[i][t]:
+                q, r = divmod(2 * v + piv, twice)
+                if q:
+                    w.row_add(i, t, -q)
+                if r != piv:
                     dirty = True
         if dirty:
             continue
         # Column t is now zero below the pivot, so a column add changes only
         # the pivot row.
-        pivot_row = d[t]
-        for j in range(t + 1, w.n):
+        for j in cols:
             if v := pivot_row[j]:
-                k = -((2 * v + piv) // twice)
-                pivot_row[j] = v + k * piv
-                w.col_ops.append((j, t, k))
-                if pivot_row[j]:
+                q, r = divmod(2 * v + piv, twice)
+                w.col_add(j, t, -q)
+                if r != piv:
                     dirty = True
         if not dirty:
             return
 
 
-def _force_divisibility(w: _Worker, t: int) -> None:
+def _force_divisibility(w: _DenseRows | _SparseRows, t: int) -> None:
     """Make the pivot divide every entry of the remaining block; a unit pivot already does."""
     while (piv := w.d[t][t]) not in (1, -1):
-        offender = None
-        for i in range(t + 1, w.m):
-            row = w.d[i]
-            for j in range(t + 1, w.n):
-                if row[j] % piv:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = w.offender(t, piv)
         if offender is None:
             return
         w.row_add(t, offender, 1)

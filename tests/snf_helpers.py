@@ -70,12 +70,14 @@ def dense_replay(log: list[tuple[int, int, int]], size: int, inverse: bool, tran
     return IntegerMatrix(size, size, tuple(v for line in lines for v in line))
 
 
-def reference_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
+def reference_reduction(a: IntegerMatrix, zero_quotients: list | None = None) -> tuple[tuple[int, ...], list, list]:
     """(invariant factors, row log, column log) of the reduction with
     minimal-|pivot| selection, each operation applied to whole rows and
     columns in the order ``intlinalg.smith_normal_form`` logs it: column t
-    is cleared before row t, every quotient rounded to the nearest integer."""
-    return _reduction(a, classical=False)
+    is cleared before row t, every quotient rounded to the nearest integer.
+    A quotient that rounds to 0 applies and logs nothing; (row, pivot) of
+    each such quotient below a pivot is appended to ``zero_quotients``."""
+    return _reduction(a, classical=False, zero_quotients=zero_quotients)
 
 
 def classical_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
@@ -84,7 +86,7 @@ def classical_reduction(a: IntegerMatrix) -> tuple[tuple[int, ...], list, list]:
     return _reduction(a, classical=True)
 
 
-def _reduction(a: IntegerMatrix, classical: bool) -> tuple[tuple[int, ...], list, list]:
+def _reduction(a: IntegerMatrix, classical: bool, zero_quotients: list | None = None) -> tuple[tuple[int, ...], list, list]:
     m, n = a.rows, a.cols
     d = a.to_rows()
     row_ops, col_ops = [], []
@@ -97,6 +99,8 @@ def _reduction(a: IntegerMatrix, classical: bool) -> tuple[tuple[int, ...], list
         if k:
             d[i] = [x + k * y for x, y in zip(d[i], d[j])]
             row_ops.append((i, j, k))
+        elif zero_quotients is not None:
+            zero_quotients.append((i, j))
 
     def col_swap(i, j):
         for r in d:

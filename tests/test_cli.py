@@ -122,6 +122,30 @@ def test_dump_requires_exactly_one_mode(capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize(
+    "argv, mode",
+    [
+        (["compute", "p1", "--format", "json", "--show-snf"], "--show-snf"),
+        (["compute", "--all", "--format", "json", "--show-differentials"], "--show-differentials"),
+        (["dump", "--dump-complex", "p1", "--format", "text"], "--dump-complex"),
+        (["dump", "--dump-complex", "p1", "--format", "json"], "--dump-complex"),
+        (["dump", "--dump-tables", "--format", "json"], "--dump-tables"),
+    ],
+)
+def test_an_option_the_mode_would_ignore_is_a_usage_error(capsys, argv, mode):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and mode in err and "--format" in err
+
+
+def test_dump_from_file_without_format_writes_text(capsys, tmp_path):
+    path = tmp_path / "p1.json"
+    path.write_text(gcw.to_json(wallpaper.get_group("p1")[0]), encoding="utf-8")
+    text = run(capsys, "dump", "--from-file", str(path), "--format", "text")
+    assert text[0] == 0 and run(capsys, "dump", "--from-file", str(path)) == text
+    code, out, _ = run(capsys, "compute", "p1", "--format", "text", "--show-snf")
+    assert code == 0 and "invariant factors" in out
+
+
 def test_dump_tables_reload_orthogonally(capsys):
     code, out, _ = run(capsys, "dump", "--dump-tables")
     assert code == 0

@@ -17,6 +17,9 @@ The ``snf`` inputs are the seeded dense matrices of ``snf_matrix``: their
 transforms P and Q have entries of hundreds of bits, so the digests pin
 the whole pivot sequence.  The ``dump`` pair pins the complex a user
 starts from and the report written for it, through the JSON writer.
+``SUBDIVIDED`` pins ``dump --from-file --format json`` on seeded
+subdivisions (``subdivision.subdivided_group``), whose differentials are
+sparse enough for the Smith normal form's dict-row storage.
 """
 
 import hashlib
@@ -25,8 +28,10 @@ import random
 
 import pytest
 
-from bredon import wallpaper
+from bredon import gcw, intlinalg, reference, wallpaper
 from bredon.cli import main
+from bredon.homology import compute_homology
+from subdivision import subdivided_group
 
 COMPUTE_ALL_JSON = "943fc8e5c37ae682d8445c356e77f83cdd469ac89f456c2ac670851344b3c8a7"
 VERIFY = "68318cc195f39ff0af5cb93fad25393a4d60c58813f149075926e7722d5584b5"
@@ -71,6 +76,14 @@ DUMP = {
     "p31m": ("8c9a2556c730418bc064993806eee145b807e6fb4333676eee5c2cf27598bae3", "7ea5bbdd6d36ae196fb910534e1eeffe4cdce3c876cd3c40d643b97f29856781"),
     "p6": ("8d41c3f701fc50e1b5a40867fb7af820afa8b3e8839d00e126fa68b3d3059e99", "5f4c610887a0e7c358f7c6e6ff578349fde8897c13140467050f69a1e4141c69"),
     "p6m": ("8f2e604ba8c19a92e6cc91c332b8663689133eeb0b0fb72530ce54c23b2e301c", "ee9d09ba6f345d7f66b7c08f21cfe9869bf098b012f702d075eee900b76b844f"),
+}
+
+#: sha256 of ``dump --from-file <subdivided_group(g, steps)> --format json`` per (g, steps).
+SUBDIVIDED = {
+    ("p6m", 120): "ae143f321adadff50946709743afc3d417fdc8a0bf8602a6f6725ffa0b30f5bc",
+    ("pm", 40): "ea5611b6d6c31b85791b6fbc4ede16fd229e4753ff0935ce6f4c7053fbf09a6e",
+    ("p4g", 80): "44ac1779ca76da0afe6b03b1b34e6e7d32b2cb5ab3ae5aaa67f382f101eae0b4",
+    ("cm", 60): "cea0b41978995cdb2833e6903187b78490b3b80b112023813d7c565426b208d0",
 }
 
 #: sha256 of ``snf --format json`` and of ``snf --format text`` per matrix shape.
@@ -163,3 +176,17 @@ def test_dump_complex_and_from_file(capsys, tmp_path, name):
     path = tmp_path / f"{name}.json"
     path.write_text(text, encoding="utf-8")
     assert digest(capsys, "dump", "--from-file", str(path), "--format", "json") == (0, expected_report)
+
+
+@pytest.mark.parametrize("name, steps", SUBDIVIDED)
+def test_dump_from_file_of_a_subdivision(capsys, tmp_path, name, steps):
+    data = subdivided_group(name, steps)
+    path = tmp_path / f"{name}-{steps}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert digest(capsys, "dump", "--from-file", str(path), "--format", "json") == (0, SUBDIVIDED[name, steps])
+    subdivided = gcw.from_json_dict(data)
+    assert intlinalg._row_storage(gcw.differentials(subdivided)[0]) is intlinalg._SparseRows
+    # a subdivision is chain homotopy equivalent to the complex, so Table 4 still holds
+    report = compute_homology(subdivided)
+    h2, h1, _, h0, _ = reference.HOMOLOGY_ROWS[name]
+    assert tuple(report.group(d).iso_type() for d in (2, 1, 0)) == (h2, h1, h0)

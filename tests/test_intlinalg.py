@@ -344,3 +344,50 @@ def test_homology_path_logs_match_the_classical_reduction():
         for a in (d1, d2, IntegerMatrix(n - k, n, snf1.Q_inv.entries[k * n :]) @ d2):
             snf = smith_normal_form(a)
             assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == classical_reduction(a), name
+
+
+def test_a_zero_quotient_is_neither_applied_nor_logged():
+    # At t = 1 a column swap leaves 1 below the pivot -3: the quotient rounds
+    # to 0, and the next round pulls the 1 into the corner.
+    a = IntegerMatrix.from_rows([[-9, -9, -1], [6, -1, -3], [2, 5, 2]])
+    zero_quotients = []
+    expected = reference_reduction(a, zero_quotients)
+    assert zero_quotients == [(2, 1)]
+    for storage in (intlinalg._DenseRows, intlinalg._SparseRows):
+        snf = intlinalg._reduce(a, storage(a))
+        assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == expected, storage.__name__
+        # a logged (i, j, 0) reads as a swap, so a logged zero add would break D = P A Q
+        assert snf.P @ a @ snf.Q == snf.D
+
+
+@st.composite
+def storage_matrices(draw, max_dim=40):
+    """Dense (entries +-20) or sparse 0/+-1 (at most 3 nonzeros per column)
+    matrices from 0x0 to max_dim x max_dim, with some rows and columns zero."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+    else:
+        rows = [[0] * n for _ in range(m)]
+        for j in range(n):
+            for i in rng.sample(range(m), rng.randint(0, min(3, m))):
+                rows[i][j] = rng.choice((1, -1))
+    zero_rows = {i for i in range(m) if rng.random() < 0.1}
+    zero_cols = {j for j in range(n) if rng.random() < 0.1}
+    return IntegerMatrix.from_rows(
+        [[0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
+        cols=n,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(storage_matrices())
+@example(IntegerMatrix.zeros(0, 0))
+@example(IntegerMatrix.zeros(4, 0))
+@example(IntegerMatrix.zeros(5, 7))
+def test_both_storages_log_the_reference_operations(a):
+    dense = intlinalg._reduce(a, intlinalg._DenseRows(a))
+    sparse = intlinalg._reduce(a, intlinalg._SparseRows(a))
+    logs = [(snf.invariant_factors, snf.row_ops, snf.col_ops) for snf in (dense, sparse)]
+    assert logs[0] == logs[1] == reference_reduction(a)

@@ -1,9 +1,10 @@
 """The engine reduces each differential once, assembles it once and
 derives each complex's chain layout once.
 
-Counts are taken by patching ``intlinalg._Worker`` (one per Smith normal
-form), every binding of ``gcw.assemble_differential`` and
-``chartab.build_table`` (the lookups made from ``gcw``); the transforms
+Counts are taken by patching ``intlinalg._reduce`` (one call per Smith
+normal form, on either row storage), every binding of
+``gcw.assemble_differential`` and ``chartab.build_table`` (the lookups
+made from ``gcw``); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
 counted by patching ``intlinalg._replay``, keyed by the transform and the
 first column it keeps.  ``compute_homology`` replays only the columns it
@@ -35,14 +36,13 @@ ALL_GROUPS = wallpaper.list_groups()
 @pytest.fixture
 def tally(monkeypatch):
     counts = Counter()
-    worker = intlinalg._Worker
+    reduce = intlinalg._reduce
 
-    class CountingWorker(worker):
-        def __init__(self, a):
-            counts["snf"] += 1
-            super().__init__(a)
+    def counting_reduce(a, storage):
+        counts["snf"] += 1
+        return reduce(a, storage)
 
-    monkeypatch.setattr(intlinalg, "_Worker", CountingWorker)
+    monkeypatch.setattr(intlinalg, "_reduce", counting_reduce)
     assemble = gcw.assemble_differential
 
     def counting_assemble(*args):
