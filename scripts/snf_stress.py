@@ -49,6 +49,10 @@ def draw(rng: random.Random, max_dim: int, max_entry: int, sparse: bool) -> Inte
     return IntegerMatrix.from_rows(rows, cols=n)
 
 
+def identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix.diagonal(n, n, [1] * n)
+
+
 def bits(m: IntegerMatrix) -> int:
     """Bit length of the largest |entry| of ``m``."""
     return max((abs(v).bit_length() for v in m.entries), default=0)
@@ -63,7 +67,7 @@ def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
             return f"{storage.__name__} logs other operations for {a.to_rows()}"
     if snf.P @ a @ snf.Q != snf.D:
         return f"D != P A Q for {a.to_rows()}"
-    if snf.P @ snf.P_inv != IntegerMatrix.identity(m) or snf.Q @ snf.Q_inv != IntegerMatrix.identity(n):
+    if snf.P @ snf.P_inv != identity(m) or snf.Q @ snf.Q_inv != identity(n):
         return f"transform inverses broken for {a.to_rows()}"
     factors = snf.invariant_factors
     if any(d <= 0 for d in factors):
@@ -76,7 +80,7 @@ def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
     torsion_positions = [i for i, d in enumerate(factors) if d > 1]
     if (
         kernel != snf.Q.take_columns(range(k, n))
-        or snf.kernel_coordinates() != IntegerMatrix(n - k, n, snf.Q_inv.entries[k * n :])
+        or snf.kernel_coordinates() != IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
         or cok.torsion_generators != snf.P_inv.take_columns(torsion_positions)
         or cok.free_generators != snf.P_inv.take_columns(range(k, m))
     ):

@@ -140,11 +140,7 @@ def _verify_table3() -> tuple[int, int, list[str]]:
         sup = chartab.build_table(emb.sup)
         matrix = chartab.induction_matrix(emb)
         j = sub.irreducible_names().index(source)
-        computed = {
-            name: matrix.entry(i, j)
-            for i, name in enumerate(sup.irreducible_names())
-            if matrix.entry(i, j)
-        }
+        computed = {name: v for name, v in zip(sup.irreducible_names(), matrix.col(j)) if v}
         if computed != expected:
             failed_lines.add(line)
             failures.append(

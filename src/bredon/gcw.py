@@ -107,36 +107,38 @@ def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[Generator
 def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
     """The block matrix of the boundary map C_d -> C_{d-1}.
 
-    Each boundary term contributes sign times the induction matrix of its
-    embedding; terms between the same orbit pair with opposite signs and
-    equal embeddings cancel.
+    Each boundary term adds sign times the nonzeros of the induction matrix
+    of its embedding to the rows of its block, so assembly costs only those
+    nonzeros; terms that cancel (same orbit pair and embedding, opposite
+    signs) leave no entry.
     """
     if d not in (1, 2):
         raise ValueError("differential degree must be 1 or 2")
     layout = complex.layout
     src_offsets, tgt_offsets = layout.offsets[d], layout.offsets[d - 1]
     nrows, ncols = len(layout.labels[d - 1]), len(layout.labels[d])
-    data = [[0] * ncols for _ in range(nrows)]
+    data: list[dict[int, int]] = [{} for _ in range(nrows)]
+    blocks: dict[str, tuple] = {}  # embedding id: its (sub, sup) and the (i, j, value) nonzeros of its induction
     for term in complex.boundary:
         if term.source not in src_offsets:
             continue
         if term.target not in tgt_offsets:
             raise InvalidComplexError([f"boundary term {term.source}->{term.target} skips a dimension"])
-        emb = chartab.get_embedding(term.embedding)
-        src_orbit, tgt_orbit = layout.orbits[term.source], layout.orbits[term.target]
-        if emb.sub != src_orbit.stabilizer or emb.sup != tgt_orbit.stabilizer:
-            raise InvalidComplexError(
-                [
-                    f"embedding {term.embedding} does not match stabilizers "
-                    f"{src_orbit.stabilizer} -> {tgt_orbit.stabilizer}"
-                ]
-            )
-        ind = chartab.induction_matrix(emb)
-        r0, c0 = tgt_offsets[term.target], src_offsets[term.source]
-        for i in range(ind.rows):
-            for j in range(ind.cols):
-                data[r0 + i][c0 + j] += term.sign * ind.entry(i, j)
-    return IntegerMatrix.from_rows(data, cols=ncols)
+        if (block := blocks.get(term.embedding)) is None:
+            emb = chartab.get_embedding(term.embedding)
+            ind = enumerate(chartab.induction_matrix(emb).nonzeros)
+            block = blocks[term.embedding] = (emb.sub, emb.sup), [(i, j, v) for i, r in ind for j, v in r.items()]
+        stabilizers = layout.orbits[term.source].stabilizer, layout.orbits[term.target].stabilizer
+        if block[0] != stabilizers:
+            raise InvalidComplexError([f"embedding {term.embedding} does not match stabilizers {' -> '.join(stabilizers)}"])
+        r0, c0, sign = tgt_offsets[term.target], src_offsets[term.source], term.sign
+        for i, j, v in block[1]:
+            target = data[r0 + i]
+            if x := target.get(c0 + j, 0) + sign * v:
+                target[c0 + j] = x
+            else:
+                del target[c0 + j]
+    return IntegerMatrix(nrows, ncols, tuple(data))
 
 
 def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMatrix]:

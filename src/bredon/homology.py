@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from operator import mul
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
@@ -95,12 +95,12 @@ class HomologyReport:
         return c0 - c1 + c2 == h[0] - h[1] + h[2]
 
 
-def _chain(labels: Sequence[str], vector: Sequence[int]) -> Chain:
-    return tuple((lab, v) for lab, v in zip(labels, vector) if v)
-
-
 def _chains_from_columns(labels: Sequence[str], m: IntegerMatrix) -> tuple[Chain, ...]:
-    return tuple(_chain(labels, m.col(j)) for j in range(m.cols))
+    chains: list[list[tuple[str, int]]] = [[] for _ in range(m.cols)]
+    for label, row in zip(labels, m.nonzeros):
+        for j, v in row.items():
+            chains[j].append((label, v))
+    return tuple(map(tuple, chains))
 
 
 def compute_homology(complex: EquivariantComplex) -> HomologyReport:
@@ -191,27 +191,25 @@ def verify_basis(
     free of rank r = rank d_n and C_n/(span + im d_n+1) = Z/(span + im d_n+1)
     + Z^r: the cokernel of [candidates | d_n+1] has the quotient's torsion,
     and its free rank exceeds the quotient's by r.  That matrix is built in
-    one pass, row by row from the chain vectors and the rows of d_n+1, and
+    one pass, row by row from the candidates and the nonzeros of d_n+1, and
     only its invariant factors are read, so no transform is built.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
     vectors = [chain_vector(report, degree, c) for c in candidates]
-    n = len(report.labels[degree])
+    n, cols = len(report.labels[degree]), len(vectors)
 
     differential = {1: report.d1, 2: report.d2}.get(degree)
-    if differential is not None:
-        rows = [differential.row(i) for i in range(differential.rows)]
-        for j, vector in enumerate(vectors):
-            if any(sum(map(mul, row, vector)) for row in rows):
-                return BasisVerdict(False, f"candidate {j + 1} is not a cycle")
+    for j, vector in enumerate(vectors if differential is not None else ()):
+        if any(sum(map(mul, row.values(), map(vector.__getitem__, row))) for row in differential.nonzeros):
+            return BasisVerdict(False, f"candidate {j + 1} is not a cycle")
 
-    lines = list(zip(*vectors)) if vectors else [()] * n
-    cols = len(vectors)
+    lines = [dict(compress(enumerate(line), line)) for line in zip(*vectors)] or [{} for _ in range(n)]
     if (boundaries := {0: report.d1, 1: report.d2}.get(degree)) is not None:
-        lines = [line + boundaries.row(i) for i, line in enumerate(lines)]
+        for line, row in zip(lines, boundaries.nonzeros):
+            line.update({cols + c: v for c, v in row.items()})
         cols += boundaries.cols
-    snf = smith_normal_form(IntegerMatrix(n, cols, tuple(chain.from_iterable(lines))))
+    snf = smith_normal_form(IntegerMatrix(n, cols, tuple(lines)))
     torsion = [d for d in snf.invariant_factors if d > 1]
     cycle_corank = len({1: report.invariant_factors_d1, 2: report.invariant_factors_d2}.get(degree, ()))
     free_rank = n - snf.rank - cycle_corank  # r in the docstring
@@ -255,14 +253,19 @@ def _group_json(g: HomologyGroup) -> dict:
 
 
 def report_to_json_dict(report: HomologyReport) -> dict:
+    return _report_doc(report, IntegerMatrix.to_rows)
+
+
+def _report_doc(report: HomologyReport, entries) -> dict:
+    """The report as JSON data, with ``entries(d)`` for the entries of each differential d."""
     return {
         "group": report.group_name,
         "chain_ranks": list(report.chain_ranks),
         "generators": [list(ls) for ls in report.labels],
         "homology": [_group_json(g) for g in report.groups],
         "differentials": {
-            "d1": {"rows": report.d1.rows, "cols": report.d1.cols, "entries": report.d1.to_rows()},
-            "d2": {"rows": report.d2.rows, "cols": report.d2.cols, "entries": report.d2.to_rows()},
+            "d1": {"rows": report.d1.rows, "cols": report.d1.cols, "entries": entries(report.d1)},
+            "d2": {"rows": report.d2.rows, "cols": report.d2.cols, "entries": entries(report.d2)},
         },
         "invariant_factors": {
             "d1": list(report.invariant_factors_d1),
@@ -272,9 +275,10 @@ def report_to_json_dict(report: HomologyReport) -> dict:
 
 
 def report_to_json(report: HomologyReport) -> str:
+    """``schemas.dumps(report_to_json_dict(report))``; each differential is written from its nonzeros."""
     from .schemas import dumps
 
-    return dumps(report_to_json_dict(report))
+    return dumps(_report_doc(report, lambda d: d))
 
 
 def basis_cell(group: HomologyGroup) -> str:

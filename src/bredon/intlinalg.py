@@ -14,14 +14,12 @@ and a dense matrix takes fewer operations.  Where no pivot leaves a remainder
 in its cross, as in every matrix the homology of a built-in group reduces,
 this logs the same operations as floor quotients taken row then column.
 
-The reduction runs on one of two row storages, picked by the density of its
-input.  A matrix with at most one entry in eight nonzero, as a differential
-of a subdivided complex, keeps each row as a {column: value} dict of its
-nonzeros and each column's set of nonzero rows, so an operation costs the
-nonzeros it touches; any other matrix keeps list rows.  One reduction runs
-the same pivot rule on both, so both log the same operations and every
-transform, kernel and cokernel is the same.  A product likewise walks only
-the nonzero entries of its left factor.
+An ``IntegerMatrix`` stores each row as a {column: value} dict of its
+nonzeros, so a sparse differential costs its nonzeros from assembly through
+the product and the JSON writer.  The reduction copies the rows of a matrix
+with at most one entry in eight nonzero and keeps each column's set of
+nonzero rows, so an operation costs the nonzeros it touches; it expands any
+other matrix to list rows.  Both log the same operations.
 """
 
 from __future__ import annotations
@@ -29,22 +27,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, compress
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Immutable integer matrix, row-major. 0-row / 0-column shapes are legal."""
+    """Immutable integer matrix; 0-row / 0-column shapes are legal.  Row i is stored as
+    ``nonzeros[i]``, {column: value} of its nonzero entries, and no zero is stored, so
+    matrices are equal exactly when their entries are; dense reads are built on each call."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    nonzeros: tuple[dict[int, int], ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
+        if len(self.nonzeros) != self.rows:
+            raise ValueError("row count does not match shape")
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -58,77 +58,66 @@ class IntegerMatrix:
             raise ValueError("ragged rows")
         if cols is not None and cols != ncols:
             raise ValueError(f"rows have {ncols} entries, expected {cols}")
-        entries = tuple(chain.from_iterable(rows))
-        if not set(map(type, entries)) <= {int}:
-            bad = next(v for v in entries if type(v) is not int)
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            bad = next(v for v in chain.from_iterable(rows) if type(v) is not int)
             raise TypeError(f"matrix entries are int, not {type(bad).__name__} ({bad!r})")
-        return IntegerMatrix(nrows, ncols, entries)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "IntegerMatrix":
-        return IntegerMatrix(rows, cols, (0,) * (rows * cols))
-
-    @staticmethod
-    def identity(n: int) -> "IntegerMatrix":
-        return IntegerMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return IntegerMatrix(nrows, ncols, tuple(map(dict, map(compress, map(enumerate, rows), rows))))
 
     @staticmethod
     def diagonal(rows: int, cols: int, values: Sequence[int]) -> "IntegerMatrix":
         """The rows x cols matrix with ``values`` down its diagonal, zero elsewhere."""
-        entries = [0] * (rows * cols)
-        for i, v in enumerate(values):
-            entries[i * cols + i] = v
-        return IntegerMatrix(rows, cols, tuple(entries))
+        lines = [{i: v} if v else {} for i, v in enumerate(values)]
+        return IntegerMatrix(rows, cols, tuple(lines + [{} for _ in range(rows - len(lines))]))
 
-    @staticmethod
-    def column(values: Iterable[int]) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows([[v] for v in values], cols=1)
+    @property
+    def entries(self) -> tuple[int, ...]:  # row-major
+        return tuple(chain.from_iterable(self.to_rows()))
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.nonzeros[i].get(j, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self.nonzeros[i].get(j, 0) for j in range(self.cols))
 
     def col(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols]
+        return tuple(r.get(j, 0) for r in self.nonzeros)
 
     def to_rows(self) -> list[list[int]]:
-        e, c = self.entries, self.cols
-        return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
+        rows = [[0] * self.cols for _ in self.nonzeros]
+        for line, r in zip(rows, self.nonzeros):
+            for j, v in r.items():
+                line[j] = v
+        return rows
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows, tuple(chain.from_iterable(map(self.col, range(self.cols)))))
+        out: list[dict[int, int]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nonzeros):
+            for j, v in r.items():
+                out[j][i] = v
+        return IntegerMatrix(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not any(self.nonzeros)
 
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        """The product; only the nonzero entries of ``self`` cost a row update."""
+        """The product; each nonzero of ``self`` costs the nonzeros of one row of ``other``."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        a, b, n, p = self.entries, other.entries, self.cols, other.cols
-        out = [0] * (self.rows * p)
-        for q in compress(range(len(a)), a):
-            i, k = divmod(q, n)
-            v, out_at, b_at = a[q], i * p, k * p
-            for j in range(p):
-                out[out_at + j] += v * b[b_at + j]
-        return IntegerMatrix(self.rows, p, tuple(out))
-
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return IntegerMatrix.from_rows(rows, cols=self.cols + other.cols)
+        b, out = other.nonzeros, []
+        for r in self.nonzeros:
+            acc: dict[int, int] = {}
+            for k, v in r.items():
+                for j, w in b[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            out.append({j: x for j, x in acc.items() if x})
+        return IntegerMatrix(self.rows, other.cols, tuple(out))
 
     def take_columns(self, indices: Sequence[int]) -> "IntegerMatrix":
-        e, c = self.entries, self.cols
-        rows = [e[i * c : (i + 1) * c] for i in range(self.rows)]
-        return IntegerMatrix(self.rows, len(indices), tuple(r[j] for r in rows for j in indices))
+        rows = tuple({p: r[j] for p, j in enumerate(indices) if j in r} for r in self.nonzeros)
+        return IntegerMatrix(self.rows, len(indices), rows)
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(f"{v}" for v in self.row(i)) for i in range(self.rows)) or "(empty)"
+        return "\n".join(" ".join(map(str, line)) for line in self.to_rows()) or "(empty)"
 
 
 @dataclass(frozen=True)
@@ -292,14 +281,11 @@ class _SparseRows:
     operation costs the nonzeros of the lines it touches."""
 
     def __init__(self, a: IntegerMatrix):
-        m, n, e = a.rows, a.cols, a.entries
-        d: list[dict[int, int]] = [{} for _ in range(m)]
-        cols: list[set[int]] = [set() for _ in range(n)]
-        for p in compress(range(len(e)), e):
-            i, j = divmod(p, n)
-            d[i][j] = e[p]
-            cols[j].add(i)
-        self.m, self.n, self.d, self.cols = m, n, d, cols
+        self.m, self.n, self.d = a.rows, a.cols, [dict(r) for r in a.nonzeros]
+        self.cols: list[set[int]] = [set() for _ in range(a.cols)]
+        for i, r in enumerate(self.d):
+            for j in r:
+                self.cols[j].add(i)
         self.row_ops: list[tuple[int, int, int]] = []
         self.col_ops: list[tuple[int, int, int]] = []
 
@@ -422,26 +408,21 @@ def _replay(
                 lo = 0
             target[lo:] = [a + k * b for a, b in zip(target[lo:], rows[j][lo:])]
             support[i] = None
-    if transposed:
-        return IntegerMatrix(width, size, tuple(chain.from_iterable(zip(*rows))))
-    return IntegerMatrix(size, width, tuple(chain.from_iterable(rows)))
+    lines = list(zip(*rows)) if transposed else rows
+    nonzeros = tuple(map(dict, map(compress, map(enumerate, lines), lines)))
+    return IntegerMatrix(width, size, nonzeros) if transposed else IntegerMatrix(size, width, nonzeros)
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
-    """Classical reduction with minimal-|pivot| selection.
-
-    Invariant factors come out positive and each divides the next.  A
-    matrix with at most one entry in eight nonzero, as a differential of a
-    subdivided complex, is reduced on dict rows of its nonzeros, any other
-    on list rows; both storages log the same operations.
-    """
+    """Classical reduction with minimal-|pivot| selection, on the working
+    storage ``_row_storage`` picks.  Invariant factors come out positive and
+    each divides the next."""
     return _reduce(a, _row_storage(a)(a))
 
 
 def _row_storage(a: IntegerMatrix) -> type[_DenseRows] | type[_SparseRows]:
     """Dict rows when at most one entry in eight is nonzero, else list rows."""
-    e = a.entries
-    return _SparseRows if 8 * (len(e) - e.count(0)) <= len(e) else _DenseRows
+    return _SparseRows if 8 * sum(map(len, a.nonzeros)) <= a.rows * a.cols else _DenseRows
 
 
 def _reduce(a: IntegerMatrix, w: _DenseRows | _SparseRows) -> SNFDecomposition:

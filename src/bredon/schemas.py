@@ -14,6 +14,7 @@ walked level by level, so the violation reported is the one closest to the root.
 from __future__ import annotations
 
 from . import chartab
+from .intlinalg import IntegerMatrix
 
 
 class SchemaError(ValueError):
@@ -139,10 +140,12 @@ def _explain(data, what: str) -> None:
 
 def dumps(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python
-    encoder that ``indent`` selects: strings go through the C string encoder
-    and a list of ``int`` (never ``bool``) is joined in one pass.  Any other
-    value is ``json.dumps``'s own text, re-indented to its depth (JSON text
-    holds no raw newline outside its layout)."""
+    encoder that ``indent`` selects: strings go through the C string encoder, a
+    list of ``int`` (never ``bool``) or of ``str`` is joined in one pass, and an
+    ``IntegerMatrix`` is written as its ``to_rows()``, each row the text of an
+    all-zero row with the 0 of each nonzero replaced.  Any other value is
+    ``json.dumps``'s own text, re-indented to its depth (JSON text holds no
+    raw newline outside its layout)."""
     import json  # only the commands that write JSON load it
     from json.encoder import encode_basestring_ascii as quote
 
@@ -154,12 +157,26 @@ def dumps(value) -> str:
             return int.__repr__(value)
         inner = pad + "  "
         sep = ",\n" + inner
+        if kind is IntegerMatrix:
+            zeros, pieces = write([0] * value.cols, inner), [f"[\n{inner}"]
+            head, step = len(inner) + 4, len(sep) + 3  # where column 0's 0 stands in ``zeros``, and the next's
+            for row in value.nonzeros:
+                at = 0
+                for j in sorted(row):
+                    cut = head + j * step
+                    pieces += (zeros[at:cut], int.__repr__(row[j]))
+                    at = cut + 1
+                pieces += (zeros[at:], sep)
+            pieces[-1] = f"\n{pad}]"
+            return "".join(pieces) if value.rows else "[]"
         if kind is list and value:
-            if set(map(type, value)) == {int}:
-                body = sep.join(map(int.__repr__, value))
+            if (kinds := set(map(type, value))) in ({int}, {str}):
+                body = sep.join(map(quote if str in kinds else int.__repr__, value))
             else:
                 body = sep.join([write(item, inner) for item in value])
             return f"[\n{inner}{body}\n{pad}]"
+        if (kind is list or kind is dict) and not value:
+            return "[]" if kind is list else "{}"
         if kind is dict and value and set(map(type, value)) == {str}:
             body = sep.join([f"{quote(key)}: {write(item, inner)}" for key, item in value.items()])
             return f"{{\n{inner}{body}\n{pad}}}"

@@ -1,4 +1,6 @@
-"""Helpers the tests read off one Smith normal form.
+"""Helpers the tests read off one Smith normal form, and matrix builders
+the library itself has no use for: ``zeros``, ``identity``, ``column`` and
+``hstack``.
 
 ``solve_integer`` is the oracle for the kernel-coordinate algorithm that
 ``verify_basis`` replaced; ``kernel_basis`` and ``cokernel`` are shorthands
@@ -12,7 +14,28 @@ engine logs on a matrix whose pivots leave no remainder in their cross, as
 on the homology path of the built-in groups.
 """
 
+from collections.abc import Iterable
+
 from bredon.intlinalg import CokernelPresentation, IntegerMatrix, smith_normal_form
+
+
+def zeros(rows: int, cols: int) -> IntegerMatrix:
+    return IntegerMatrix(rows, cols, tuple({} for _ in range(rows)))
+
+
+def identity(n: int) -> IntegerMatrix:
+    return IntegerMatrix.diagonal(n, n, [1] * n)
+
+
+def column(values: Iterable[int]) -> IntegerMatrix:
+    return IntegerMatrix.from_rows([[v] for v in values], cols=1)
+
+
+def hstack(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
+    """[a | b]."""
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch in hstack")
+    return IntegerMatrix.from_rows([x + y for x, y in zip(a.to_rows(), b.to_rows())], cols=a.cols + b.cols)
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
@@ -66,8 +89,7 @@ def dense_replay(log: list[tuple[int, int, int]], size: int, inverse: bool, tran
             rows[j] = [a - k * b for a, b in zip(rows[j], rows[i])]
         else:
             rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
-    lines = zip(*rows) if transposed else rows
-    return IntegerMatrix(size, size, tuple(v for line in lines for v in line))
+    return IntegerMatrix.from_rows([list(line) for line in zip(*rows)] if transposed else rows, cols=size)
 
 
 def reference_reduction(a: IntegerMatrix, zero_quotients: list | None = None) -> tuple[tuple[int, ...], list, list]:

@@ -22,7 +22,7 @@ import pytest
 from bredon import chartab, gcw, homology, reference, wallpaper
 from bredon.cli import main
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
-from snf_helpers import cokernel, kernel_basis
+from snf_helpers import cokernel, identity, kernel_basis
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -135,8 +135,8 @@ def test_criterion_7_randomized_snf_suite():
         snf = smith_normal_form(a)
         ok = (
             snf.P @ a @ snf.Q == snf.D
-            and snf.P @ snf.P_inv == IntegerMatrix.identity(m)
-            and snf.Q @ snf.Q_inv == IntegerMatrix.identity(n)
+            and snf.P @ snf.P_inv == identity(m)
+            and snf.Q @ snf.Q_inv == identity(n)
             and all(d > 0 for d in snf.invariant_factors)
             and all(
                 e % d == 0 for d, e in zip(snf.invariant_factors, snf.invariant_factors[1:])

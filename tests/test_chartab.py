@@ -15,6 +15,7 @@ from bredon.chartab import (
 )
 from bredon.cyclotomic import Cyclotomic
 from bredon.reference import INDUCED_CHARACTER_ROWS
+from snf_helpers import identity
 
 EXPECTED_IRREDUCIBLE_COUNTS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6, "D2": 4, "D3": 3, "D4": 5, "D6": 6,
@@ -204,7 +205,7 @@ def test_identity_embeddings_induce_identically(emb):
     if emb.sub == emb.sup:
         n = build_table(emb.sub).rank
         assert induction_matrix(emb) == restriction_matrix(emb)
-        assert induction_matrix(emb) == chartab.IntegerMatrix.identity(n)
+        assert induction_matrix(emb) == identity(n)
 
 
 @pytest.mark.parametrize("emb", registered_embeddings(), ids=lambda e: e.embedding_id)

@@ -84,6 +84,7 @@ SUBDIVIDED = {
     ("pm", 40): "ea5611b6d6c31b85791b6fbc4ede16fd229e4753ff0935ce6f4c7053fbf09a6e",
     ("p4g", 80): "44ac1779ca76da0afe6b03b1b34e6e7d32b2cb5ab3ae5aaa67f382f101eae0b4",
     ("cm", 60): "cea0b41978995cdb2833e6903187b78490b3b80b112023813d7c565426b208d0",
+    ("p6m", 480): "c7d321881e931740c1d6fc2700efb48e3b1b149b445b4ff5e738467410c57da7",  # d1 is 973x966
 }
 
 #: sha256 of ``snf --format json`` and of ``snf --format text`` per matrix shape.

@@ -10,10 +10,14 @@ from bredon.intlinalg import IntegerMatrix, smith_normal_form
 from snf_helpers import (
     classical_reduction,
     cokernel,
+    column,
     dense_replay,
+    hstack,
+    identity,
     kernel_basis,
     reference_reduction,
     solve_integer,
+    zeros,
 )
 
 
@@ -33,8 +37,8 @@ def cofactor_det(m: IntegerMatrix) -> int:
 def assert_valid_snf(a: IntegerMatrix) -> None:
     snf = smith_normal_form(a)
     assert snf.P @ a @ snf.Q == snf.D
-    assert snf.P @ snf.P_inv == IntegerMatrix.identity(a.rows)
-    assert snf.Q @ snf.Q_inv == IntegerMatrix.identity(a.cols)
+    assert snf.P @ snf.P_inv == identity(a.rows)
+    assert snf.Q @ snf.Q_inv == identity(a.cols)
     k = len(snf.invariant_factors)
     for i in range(a.rows):
         for j in range(a.cols):
@@ -73,7 +77,7 @@ def test_non_int_entries_raise(bad):
     with pytest.raises(TypeError, match="matrix entries are int"):
         IntegerMatrix.from_rows([[1, 0], [0, bad]])
     with pytest.raises(TypeError, match="matrix entries are int"):
-        IntegerMatrix.column([1, bad])
+        column([1, bad])
 
 
 def test_one_by_one():
@@ -83,7 +87,7 @@ def test_one_by_one():
 
 def test_two_by_one_column():
     # the degree-2 differential of the Klein-bottle-like complex
-    a = IntegerMatrix.column([2, 0])
+    a = column([2, 0])
     snf = smith_normal_form(a)
     assert snf.invariant_factors == (2,)
     assert_valid_snf(a)
@@ -96,7 +100,7 @@ def test_rank_one_projection():
 
 def test_empty_shapes_behave_as_zero_maps():
     for rows, cols in ((0, 3), (3, 0), (0, 0)):
-        a = IntegerMatrix.zeros(rows, cols)
+        a = zeros(rows, cols)
         snf = smith_normal_form(a)
         assert snf.invariant_factors == ()
         assert kernel_basis(a).cols == cols
@@ -147,9 +151,9 @@ def test_determinant_preserved(a):
 
 
 def test_kernel_examples():
-    zero_map = IntegerMatrix.zeros(1, 2)
+    zero_map = zeros(1, 2)
     assert kernel_basis(zero_map).cols == 2
-    assert kernel_basis(IntegerMatrix.identity(3)).cols == 0
+    assert kernel_basis(identity(3)).cols == 0
 
 
 def test_kernel_basis_extends_to_unimodular():
@@ -163,7 +167,7 @@ def test_kernel_basis_extends_to_unimodular():
 
 
 def test_cokernel_examples():
-    zero_map = IntegerMatrix.zeros(4, 2)
+    zero_map = zeros(4, 2)
     cok = cokernel(zero_map)
     assert cok.free_rank == 4 and cok.torsion == ()
 
@@ -182,13 +186,13 @@ def test_cokernel_generators_project_to_basis():
     a = IntegerMatrix.from_rows([[2], [1], [1]])
     cok = cokernel(a)
     assert cok.free_rank == 2 and cok.torsion == ()
-    stacked = a.hstack(cok.free_generators)
+    stacked = hstack(a, cok.free_generators)
     assert abs(cofactor_det(stacked)) == 1
 
 
 def test_solve_identity():
     b = IntegerMatrix.from_rows([[3, 1], [2, 2], [-7, 0]])
-    assert solve_integer(IntegerMatrix.identity(3), b) == b
+    assert solve_integer(identity(3), b) == b
 
 
 def test_solve_no_solution():
@@ -201,15 +205,15 @@ def test_solve_no_solution():
 
 def test_solve_shape_mismatch():
     with pytest.raises(ValueError):
-        solve_integer(IntegerMatrix.identity(2), IntegerMatrix.identity(3))
+        solve_integer(identity(2), identity(3))
 
 
 def test_solve_kernel_coordinates_of_glide_complex():
     # degree-1 differential is the zero map Z^2 -> Z, so its kernel basis is
     # the identity; the degree-2 column (2,0)^T pulls back to itself in the
     # kernel coordinates ordered (beta_0, beta_1)
-    k = kernel_basis(IntegerMatrix.zeros(1, 2))
-    d2 = IntegerMatrix.column([2, 0])
+    k = kernel_basis(zeros(1, 2))
+    d2 = column([2, 0])
     x = solve_integer(k, d2)
     assert x is not None
     assert k @ x == d2
@@ -280,17 +284,17 @@ def shaped_matrices(draw, max_dim=8):
 
 @settings(max_examples=150, deadline=None)
 @given(shaped_matrices())
-@example(IntegerMatrix.zeros(0, 3))
-@example(IntegerMatrix.zeros(3, 0))
-@example(IntegerMatrix.zeros(3, 4))
-@example(IntegerMatrix.identity(4))
+@example(zeros(0, 3))
+@example(zeros(3, 0))
+@example(zeros(3, 4))
+@example(identity(4))
 @example(IntegerMatrix.from_rows([[2, 0, 0], [0, 6, 0]]))  # full row rank, all torsion
 @example(IntegerMatrix.from_rows([[4, 0], [0, 12], [0, 0]]))  # full column rank, all torsion
 def test_restricted_replays_are_slices_of_the_full_transforms(a):
     snf = smith_normal_form(a)
     m, n, k = a.rows, a.cols, snf.rank
     assert snf.kernel() == snf.Q.take_columns(range(k, n))
-    assert snf.kernel_coordinates() == IntegerMatrix(n - k, n, snf.Q_inv.entries[k * n :])
+    assert snf.kernel_coordinates() == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
     cok = snf.cokernel()
     torsion_positions = [i for i, d in enumerate(snf.invariant_factors) if d > 1]
     assert cok.torsion == tuple(snf.invariant_factors[i] for i in torsion_positions)
@@ -304,7 +308,7 @@ def test_restricted_replays_are_slices_of_the_full_transforms(a):
                 for first in range(size + 1):
                     part = intlinalg._replay(log, size, inverse, transposed, first)
                     if transposed:
-                        assert part == IntegerMatrix(size - first, size, full.entries[first * size :])
+                        assert part == IntegerMatrix(size - first, size, full.nonzeros[first:])
                     else:
                         assert part == full.take_columns(range(first, size))
 
@@ -341,7 +345,7 @@ def test_homology_path_logs_match_the_classical_reduction():
         snf1 = smith_normal_form(d1)
         n, k = d1.cols, snf1.rank
         # d1, d2 and the degree-1 matrix Q1^-1[k:, :] @ d2 that compute_homology reduces
-        for a in (d1, d2, IntegerMatrix(n - k, n, snf1.Q_inv.entries[k * n :]) @ d2):
+        for a in (d1, d2, IntegerMatrix(n - k, n, snf1.Q_inv.nonzeros[k:]) @ d2):
             snf = smith_normal_form(a)
             assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == classical_reduction(a), name
 
@@ -383,11 +387,102 @@ def storage_matrices(draw, max_dim=40):
 
 @settings(max_examples=80, deadline=None)
 @given(storage_matrices())
-@example(IntegerMatrix.zeros(0, 0))
-@example(IntegerMatrix.zeros(4, 0))
-@example(IntegerMatrix.zeros(5, 7))
+@example(zeros(0, 0))
+@example(zeros(4, 0))
+@example(zeros(5, 7))
 def test_both_storages_log_the_reference_operations(a):
     dense = intlinalg._reduce(a, intlinalg._DenseRows(a))
     sparse = intlinalg._reduce(a, intlinalg._SparseRows(a))
     logs = [(snf.invariant_factors, snf.row_ops, snf.col_ops) for snf in (dense, sparse)]
     assert logs[0] == logs[1] == reference_reduction(a)
+
+
+def stores_only_nonzeros(a: IntegerMatrix) -> bool:
+    """Every stored entry is a nonzero int in a column of ``a``, one row dict per row."""
+    return len(a.nonzeros) == a.rows and all(
+        type(v) is int and v != 0 and 0 <= j < a.cols for row in a.nonzeros for j, v in row.items()
+    )
+
+
+#: Small entries whose products and sums cancel often.
+cancelling = st.sampled_from((0, 0, 0, 1, -1, 2, -2))
+
+
+@st.composite
+def dense_lists(draw, rows=None, cols=None, max_dim=6):
+    """(cols, rows) of a row list of ``cancelling`` entries, any side 0 to ``max_dim``."""
+    m = draw(st.integers(0, max_dim)) if rows is None else rows
+    n = draw(st.integers(0, max_dim)) if cols is None else cols
+    return n, draw(st.lists(st.lists(cancelling, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_lists(), st.data())
+def test_no_constructor_stores_a_zero(shaped, data):
+    n, rows = shaped
+    a = IntegerMatrix.from_rows(rows, cols=n)
+    assert stores_only_nonzeros(a) and (a.rows, a.cols, a.to_rows()) == (len(rows), n, rows)
+
+    p, other = data.draw(dense_lists(rows=n))
+    product = [[sum(x * other[k][j] for k, x in enumerate(line)) for j in range(p)] for line in rows]
+    ab = a @ IntegerMatrix.from_rows(other, cols=p)
+    assert stores_only_nonzeros(ab) and ab.to_rows() == product
+
+    indices = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)) if n else []
+    taken = a.take_columns(indices)
+    assert stores_only_nonzeros(taken) and taken.to_rows() == [[line[j] for j in indices] for line in rows]
+
+    values = data.draw(st.lists(cancelling, max_size=min(len(rows), n)))
+    diag = IntegerMatrix.diagonal(len(rows), n, values)
+    expected = [[values[i] if i == j and i < len(values) else 0 for j in range(n)] for i in range(len(rows))]
+    assert stores_only_nonzeros(diag) and diag.to_rows() == expected
+
+    flipped = a.transpose()
+    assert stores_only_nonzeros(flipped) and flipped.to_rows() == [[line[j] for line in rows] for j in range(n)]
+
+    snf = smith_normal_form(a)
+    for log, size in ((snf.row_ops, a.rows), (snf.col_ops, a.cols)):
+        for inverse in (False, True):
+            for transposed in (False, True):
+                for first in range(size + 1):
+                    assert stores_only_nonzeros(intlinalg._replay(log, size, inverse, transposed, first))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_lists(), dense_lists())
+def test_equality_is_equality_of_the_entries(x, y):
+    (n, rows), (p, other) = x, y
+    a, b = IntegerMatrix.from_rows(rows, cols=n), IntegerMatrix.from_rows(other, cols=p)
+    assert (a == b) == ((len(rows), n, rows) == (len(other), p, other))
+    # the order in which a row's nonzeros were stored does not matter
+    reversed_rows = tuple(dict(reversed(row.items())) for row in a.nonzeros)
+    assert IntegerMatrix(a.rows, a.cols, reversed_rows) == a == a.transpose().transpose()
+    if any(map(any, rows)):
+        i = next(i for i, line in enumerate(rows) if any(line))
+        changed = [list(line) for line in rows]
+        changed[i][next(j for j, v in enumerate(rows[i]) if v)] = 0
+        assert IntegerMatrix.from_rows(changed, cols=n) != a
+
+
+def test_an_assembly_drops_the_entries_that_cancel():
+    from bredon.gcw import BoundaryTerm, CellOrbit, EquivariantComplex, assemble_differential
+
+    # e meets v twice along the same embedding with opposite signs, so v's block
+    # of d1 is zero; e meets w once, along the identity of C2
+    complex_ = EquivariantComplex(
+        "cancelling",
+        orbits=(
+            CellOrbit("v", 0, "D2", "alpha_0"),
+            CellOrbit("w", 0, "C2", "alpha_1"),
+            CellOrbit("e", 1, "C2", "beta"),
+        ),
+        boundary=(
+            BoundaryTerm("e", "v", 1, "C2->D2[a]"),
+            BoundaryTerm("e", "w", 1, "C2->C2"),
+            BoundaryTerm("e", "v", -1, "C2->D2[a]"),
+        ),
+    )
+    d1 = assemble_differential(complex_, 1)
+    assert stores_only_nonzeros(d1)
+    assert d1.nonzeros == ({}, {}, {}, {}, {0: 1}, {1: 1})
+    assert d1 == IntegerMatrix.from_rows([[0, 0]] * 4 + [[1, 0], [0, 1]])
