@@ -9,9 +9,9 @@ draws only the latter.  Every draw is also reduced on both row storages of
 the reduction, list rows and dict rows, which must log the same operations
 as ``smith_normal_form``; the report counts the draws that
 ``smith_normal_form`` reduced on each storage.  Each
-transform is built by replaying its operation log in reverse, every update
-starting at its pivot's column; the transforms of a sparse draw stay mostly
-zeros, so their adds also touch only the nonzero columns of the source row.
+transform is built by replaying its operation log in reverse on dict rows of
+nonzeros, one code path for dense and sparse draws alike: an add walks the
+nonzeros of its source row and deletes each entry it cancels.
 The kernel, the kernel coordinates and the cokernel generators, each
 replayed from the rank (less the torsion) on, must equal the matching
 slices of the full Q, Q_inv and P_inv.

@@ -274,8 +274,7 @@ def cmd_snf(args) -> int:
         sys.set_int_max_str_digits(0)
     try:
         if args.format == "json":
-            payload = {"invariant_factors": factors, **{name: mat.to_rows() for name, mat in matrices.items()}}
-            print(schemas.dumps(payload))
+            print(schemas.dumps({"invariant_factors": factors, **matrices}))
         else:
             print(f"invariant factors: {factors}")
             for name, mat in matrices.items():

@@ -96,8 +96,8 @@ class Cyclotomic:
                 return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
+    def __hash__(self) -> int:  # a rational value hashes as the number it equals
+        return hash(self.coeffs[0]) if self.is_rational() else hash(self.coeffs)
 
     def __repr__(self) -> str:
         terms = []

@@ -5,8 +5,8 @@ results are exact regardless of pivot growth.  The central routine is
 ``smith_normal_form``, which diagonalizes D = P*A*Q with unimodular P, Q and
 returns the decomposition; P, Q, their inverses, kernels and cokernels are
 read off from it.  Once pivot t is placed, its row and column are zero off
-the diagonal and stay so, so the reduction and the reverse-order replay of
-its operation logs both work only on the active block from index t on.
+the diagonal and stay so, so the reduction works only on the active block
+from index t on.
 
 A pivot clears its column before its row, and every quotient is rounded to
 the nearest integer, so each Euclidean remainder is at most half the pivot
@@ -16,10 +16,10 @@ this logs the same operations as floor quotients taken row then column.
 
 An ``IntegerMatrix`` stores each row as a {column: value} dict of its
 nonzeros, so a sparse differential costs its nonzeros from assembly through
-the product and the JSON writer.  The reduction copies the rows of a matrix
-with at most one entry in eight nonzero and keeps each column's set of
-nonzero rows, so an operation costs the nonzeros it touches; it expands any
-other matrix to list rows.  Both log the same operations.
+the product, the transform replay and the JSON writer.  The reduction copies
+the rows of a matrix with at most one entry in eight nonzero and keeps each
+column's set of nonzero rows, so an operation costs the nonzeros it touches;
+it expands any other matrix to list rows.  Both log the same operations.
 """
 
 from __future__ import annotations
@@ -373,44 +373,28 @@ def _replay(
     P_inv and Q_inv^T.  The result is transposed at the end when ``transposed``.
     Row operations act on each column alone, so the size x (size - first)
     result is those columns of the full product, bit for bit; transposed,
-    it is rows ``first`` onward.
-
-    Replayed in reverse, the operations of pivot t = min(i, j) touch only
-    rows t onward, still zero left of column t, so an update starts at
-    column max(t, first).  Each row also keeps the set of columns that may
-    be nonzero, or None once it may be dense; an add from a row with at most
-    size // 4 such columns touches only those (a unit-pivot differential's
-    transforms are mostly zeros).
+    it is rows ``first`` onward.  Rows are dicts of their nonzeros, as
+    ``IntegerMatrix`` stores them: an add walks its source row's nonzeros and
+    deletes each entry it cancels, on dense and sparse logs alike.
     """
     width = size - first
-    rows = [[0] * width for _ in range(size)]
-    support: list[set[int] | None] = [set() for _ in range(first)] + [{c} for c in range(width)]
-    for c in range(width):
-        rows[first + c][c] = 1
-    sparse = size // 4
+    rows: list[dict[int, int]] = [{} for _ in range(first)] + [{c: 1} for c in range(width)]
     for i, j, k in reversed(log):
         if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
             i, j, k = (i, j, -k) if inverse else (j, i, k)
         if not k:
             rows[i], rows[j] = rows[j], rows[i]
-            support[i], support[j] = support[j], support[i]
         elif i == j:
-            rows[i] = [-v for v in rows[i]]
-        elif (source := support[j]) is not None and len(source) <= sparse:
-            target, line = rows[i], rows[j]
-            for c in source:
-                target[c] += k * line[c]
-            if support[i] is not None:
-                support[i] |= source
+            rows[i] = {c: -v for c, v in rows[i].items()}
         else:
-            lo, target = (i if i < j else j) - first, rows[i]
-            if lo < 0:  # cheaper than max() on this hot path
-                lo = 0
-            target[lo:] = [a + k * b for a, b in zip(target[lo:], rows[j][lo:])]
-            support[i] = None
-    lines = list(zip(*rows)) if transposed else rows
-    nonzeros = tuple(map(dict, map(compress, map(enumerate, lines), lines)))
-    return IntegerMatrix(width, size, nonzeros) if transposed else IntegerMatrix(size, width, nonzeros)
+            target = rows[i]
+            for c, v in rows[j].items():
+                if x := target.get(c, 0) + k * v:
+                    target[c] = x
+                else:
+                    del target[c]
+    result = IntegerMatrix(size, width, tuple(rows))
+    return result.transpose() if transposed else result
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:

@@ -142,10 +142,10 @@ def dumps(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python
     encoder that ``indent`` selects: strings go through the C string encoder, a
     list of ``int`` (never ``bool``) or of ``str`` is joined in one pass, and an
-    ``IntegerMatrix`` is written as its ``to_rows()``, each row the text of an
-    all-zero row with the 0 of each nonzero replaced.  Any other value is
-    ``json.dumps``'s own text, re-indented to its depth (JSON text holds no
-    raw newline outside its layout)."""
+    ``IntegerMatrix`` is written as the list of its rows, from its nonzeros:
+    each row is the text of an all-zero row with the 0 of each nonzero
+    replaced.  Any other value is ``json.dumps``'s own text, re-indented to
+    its depth (JSON text holds no raw newline outside its layout)."""
     import json  # only the commands that write JSON load it
     from json.encoder import encode_basestring_ascii as quote
 

@@ -7,8 +7,9 @@ the library itself has no use for: ``zeros``, ``identity``, ``column`` and
 for reading one property of a fresh decomposition.  Two references pin the
 engine's operation logs and transforms: ``reference_reduction`` is the
 reduction that updates whole rows and columns, one operation at a time,
-and ``dense_replay`` replays a log forward over whole rows; the engine
-confines both to the active block.  ``classical_reduction`` takes floor
+and ``dense_replay`` replays a log forward over whole list rows.  The
+engine's reduction confines itself to the active block, and its replay
+walks dict rows of nonzeros.  ``classical_reduction`` takes floor
 quotients and clears row t after column t in every round; it logs what the
 engine logs on a matrix whose pivots leave no remainder in their cross, as
 on the homology path of the built-in groups.

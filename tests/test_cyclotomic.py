@@ -51,6 +51,13 @@ cyclotomics = st.builds(
 )
 
 
+@given(st.one_of(st.integers(), rationals))
+def test_a_rational_value_hashes_as_the_number_it_equals(q):
+    x = Cyclotomic.of(q)
+    assert x == q and hash(x) == hash(q)
+    assert len({x, q}) == 1 and {q: "x"}.get(x) == "x"
+
+
 @given(cyclotomics, cyclotomics, cyclotomics)
 def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)

@@ -30,7 +30,7 @@ import pytest
 
 from bredon import gcw, intlinalg, reference, wallpaper
 from bredon.cli import main
-from bredon.homology import compute_homology
+from bredon.homology import compute_homology, verify_basis
 from subdivision import subdivided_group
 
 COMPUTE_ALL_JSON = "943fc8e5c37ae682d8445c356e77f83cdd469ac89f456c2ac670851344b3c8a7"
@@ -191,3 +191,7 @@ def test_dump_from_file_of_a_subdivision(capsys, tmp_path, name, steps):
     report = compute_homology(subdivided)
     h2, h1, _, h0, _ = reference.HOMOLOGY_ROWS[name]
     assert tuple(report.group(d).iso_type() for d in (2, 1, 0)) == (h2, h1, h0)
+    # the engine's own bases, read off the replayed transforms, pass its own check
+    for d in (0, 1, 2):
+        g = report.group(d)
+        assert verify_basis(report, d, g.torsion_basis + g.basis).accepted, (name, steps, d)

@@ -261,8 +261,29 @@ def test_decomposition_reads_kernel_and_cokernel(a):
     assert snf.kernel().cols + snf.rank == a.cols
 
 
+@st.composite
+def storage_matrices(draw, max_dim=40):
+    """Dense (entries +-20) or sparse 0/+-1 (at most 3 nonzeros per column)
+    matrices from 0x0 to max_dim x max_dim, with some rows and columns zero."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+    else:
+        rows = [[0] * n for _ in range(m)]
+        for j in range(n):
+            for i in rng.sample(range(m), rng.randint(0, min(3, m))):
+                rows[i][j] = rng.choice((1, -1))
+    zero_rows = {i for i in range(m) if rng.random() < 0.1}
+    zero_cols = {j for j in range(n) if rng.random() < 0.1}
+    return IntegerMatrix.from_rows(
+        [[0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
+        cols=n,
+    )
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(sparse_matrices(), matrices(max_dim=12, bound=99)))
+@given(st.one_of(sparse_matrices(), matrices(max_dim=12, bound=99), storage_matrices()))
 def test_replay_matches_the_dense_reference(a):
     # the reverse replay builds the transpose of the forward one
     snf = smith_normal_form(a)
@@ -362,27 +383,6 @@ def test_a_zero_quotient_is_neither_applied_nor_logged():
         assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == expected, storage.__name__
         # a logged (i, j, 0) reads as a swap, so a logged zero add would break D = P A Q
         assert snf.P @ a @ snf.Q == snf.D
-
-
-@st.composite
-def storage_matrices(draw, max_dim=40):
-    """Dense (entries +-20) or sparse 0/+-1 (at most 3 nonzeros per column)
-    matrices from 0x0 to max_dim x max_dim, with some rows and columns zero."""
-    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
-    else:
-        rows = [[0] * n for _ in range(m)]
-        for j in range(n):
-            for i in rng.sample(range(m), rng.randint(0, min(3, m))):
-                rows[i][j] = rng.choice((1, -1))
-    zero_rows = {i for i in range(m) if rng.random() < 0.1}
-    zero_cols = {j for j in range(n) if rng.random() < 0.1}
-    return IntegerMatrix.from_rows(
-        [[0 if i in zero_rows or j in zero_cols else v for j, v in enumerate(row)] for i, row in enumerate(rows)],
-        cols=n,
-    )
 
 
 @settings(max_examples=80, deadline=None)
