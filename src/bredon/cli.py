@@ -140,7 +140,7 @@ def _verify_table3() -> tuple[int, int, list[str]]:
         sup = chartab.build_table(emb.sup)
         matrix = chartab.induction_matrix(emb)
         j = sub.irreducible_names().index(source)
-        computed = {name: v for name, v in zip(sup.irreducible_names(), matrix.col(j)) if v}
+        computed = {name: r[j] for name, r in zip(sup.irreducible_names(), matrix.nonzeros) if j in r}
         if computed != expected:
             failed_lines.add(line)
             failures.append(

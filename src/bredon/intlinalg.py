@@ -66,21 +66,14 @@ class IntegerMatrix:
     @staticmethod
     def diagonal(rows: int, cols: int, values: Sequence[int]) -> "IntegerMatrix":
         """The rows x cols matrix with ``values`` down its diagonal, zero elsewhere."""
+        if len(values) > min(rows, cols):
+            raise ValueError(f"{len(values)} diagonal values do not fit a {rows}x{cols} matrix")
         lines = [{i: v} if v else {} for i, v in enumerate(values)]
         return IntegerMatrix(rows, cols, tuple(lines + [{} for _ in range(rows - len(lines))]))
 
     @property
     def entries(self) -> tuple[int, ...]:  # row-major
         return tuple(chain.from_iterable(self.to_rows()))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.nonzeros[i].get(j, 0)
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self.nonzeros[i].get(j, 0) for j in range(self.cols))
-
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(r.get(j, 0) for r in self.nonzeros)
 
     def to_rows(self) -> list[list[int]]:
         rows = [[0] * self.cols for _ in self.nonzeros]
@@ -113,6 +106,8 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, other.cols, tuple(out))
 
     def take_columns(self, indices: Sequence[int]) -> "IntegerMatrix":
+        if any(not 0 <= j < self.cols for j in indices):
+            raise IndexError(f"column index outside 0..{self.cols - 1} of a {self.rows}x{self.cols} matrix")
         rows = tuple({p: r[j] for p, j in enumerate(indices) if j in r} for r in self.nonzeros)
         return IntegerMatrix(self.rows, len(indices), rows)
 

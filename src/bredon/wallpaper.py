@@ -5,9 +5,10 @@ plane: one orbit of 2-cells with trivial stabilizer, orbits of edges and
 vertices with cyclic or dihedral stabilizers, and signed boundary terms
 with explicit stabilizer embeddings.  The complexes are declarative data
 so they can be dumped, diffed and audited; ``gcw.validate`` accepts every
-one of them.  Each group's record holds three hand-entered fields (point
-group, split extension or not, glide reflections) and three read off its
-cells (torsion primes, reflections, rotation orders).
+one of them.  Each group's record holds only hand-entered data: its point
+group, whether it is a split extension, and whether it has glide
+reflections.  What the stabilizers already say (torsion primes, mirrors,
+rotation orders) is left to be read off the cells.
 """
 
 from __future__ import annotations
@@ -15,21 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import chartab
 from .gcw import BoundaryTerm, CellOrbit, EquivariantComplex
 
 
 @dataclass(frozen=True)
 class GroupRecord:
-    """One wallpaper group: ``_HAND`` gives three fields, the stabilizers of its cells the other three."""
+    """One wallpaper group's hand data, from ``_HAND``."""
 
     name: str
     point_group: str
     split: str  # "yes" | "no" | "n/a"
-    torsion_primes: frozenset[int]  # the primes dividing some stabilizer order
-    has_reflections: bool  # some edge orbit, a mirror, has a nontrivial stabilizer
     has_glide_reflections: bool
-    rotation_orders: frozenset[int]  # n for each D_n vertex and each C_n vertex (n >= 2) on no mirror
 
 
 # Point group, split extension or not, glide reflections: what stabilizers cannot give.
@@ -441,15 +438,4 @@ def get_group(name: str) -> tuple[EquivariantComplex, GroupRecord]:
         orbits=tuple(CellOrbit(*o) for o in orbit_data),
         boundary=tuple(BoundaryTerm(*t) for t in boundary_data),
     )
-    mirrors = {o.orbit_id for o in complex.orbits_of_dimension(1) if o.stabilizer != "C1"}
-    on_mirror = {t.target for t in complex.boundary if t.source in mirrors}
-    rotations = {
-        int(o.stabilizer[1:])
-        for o in complex.orbits_of_dimension(0)
-        if o.stabilizer[0] == "D" or (o.stabilizer != "C1" and o.orbit_id not in on_mirror)
-    }
-    orders = {chartab.GROUP_ORDERS[o.stabilizer] for o in complex.orbits}
-    torsion = {p for n in orders for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
-    point_group, split, glide = _HAND[name]
-    record = GroupRecord(name, point_group, split, frozenset(torsion), bool(mirrors), glide, frozenset(rotations))
-    return complex, record
+    return complex, GroupRecord(name, *_HAND[name])

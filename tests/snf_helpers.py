@@ -1,6 +1,7 @@
-"""Helpers the tests read off one Smith normal form, and matrix builders
-the library itself has no use for: ``zeros``, ``identity``, ``column`` and
-``hstack``.
+"""Helpers the tests read off one Smith normal form, and the matrix builders
+and readers the library itself has no use for: ``zeros``, ``identity``,
+``column`` and ``hstack`` build; ``entry``, ``row`` and ``col`` read one
+entry, or one dense row or column.
 
 ``solve_integer`` is the oracle for the kernel-coordinate algorithm that
 ``verify_basis`` replaced; ``kernel_basis`` and ``cokernel`` are shorthands
@@ -39,6 +40,18 @@ def hstack(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix:
     return IntegerMatrix.from_rows([x + y for x, y in zip(a.to_rows(), b.to_rows())], cols=a.cols + b.cols)
 
 
+def entry(m: IntegerMatrix, i: int, j: int) -> int:
+    return m.nonzeros[i].get(j, 0)
+
+
+def row(m: IntegerMatrix, i: int) -> tuple[int, ...]:
+    return tuple(m.nonzeros[i].get(j, 0) for j in range(m.cols))
+
+
+def col(m: IntegerMatrix, j: int) -> tuple[int, ...]:
+    return tuple(r.get(j, 0) for r in m.nonzeros)
+
+
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
     return smith_normal_form(a).kernel()
@@ -63,7 +76,7 @@ def solve_integer(a: IntegerMatrix, b: IntegerMatrix) -> IntegerMatrix | None:
     y_rows = [[0] * b.cols for _ in range(a.cols)]
     for i in range(a.rows):
         for j in range(b.cols):
-            v = c.entry(i, j)
+            v = entry(c, i, j)
             if i < k:
                 d = snf.invariant_factors[i]
                 if v % d:

@@ -22,7 +22,7 @@ import pytest
 from bredon import chartab, gcw, homology, reference, wallpaper
 from bredon.cli import main
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
-from snf_helpers import cokernel, identity, kernel_basis
+from snf_helpers import cokernel, entry, identity, kernel_basis, row
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -57,7 +57,7 @@ def test_criterion_2_induced_characters_reproduced():
         m = chartab.induction_matrix(emb)
         j = sub.irreducible_names().index(source)
         computed = {
-            name: m.entry(i, j) for i, name in enumerate(sup.irreducible_names()) if m.entry(i, j)
+            name: entry(m, i, j) for i, name in enumerate(sup.irreducible_names()) if entry(m, i, j)
         }
         if computed != expected:
             failures.append(f"line {line} ({emb_id}, {source}): {computed} != {expected}")
@@ -166,7 +166,7 @@ def test_criterion_7_randomized_snf_suite():
 def _bareiss_det(m: IntegerMatrix) -> int:
     """Fraction-free determinant; independent of the SNF code path."""
     n = m.rows
-    a = [list(m.row(i)) for i in range(n)]
+    a = [list(row(m, i)) for i in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):

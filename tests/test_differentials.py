@@ -13,6 +13,7 @@ import pytest
 
 from bredon import wallpaper
 from bredon.gcw import assemble_differential, chain_rank
+from snf_helpers import entry
 
 # group -> degree -> {column label: {row label: coefficient}}
 EXPECTED = {
@@ -226,6 +227,6 @@ def test_differential_columns(name, degree):
     for j, col_label in enumerate(col_labels):
         spec = expected_cols[col_label.name]
         for i, row_label in enumerate(row_labels):
-            assert matrix.entry(i, j) == spec.get(row_label.name, 0), (
+            assert entry(matrix, i, j) == spec.get(row_label.name, 0), (
                 f"{name} d{degree}: entry ({row_label.name}, {col_label.name})"
             )

@@ -12,6 +12,7 @@ from snf_helpers import (
     cokernel,
     column,
     dense_replay,
+    entry,
     hstack,
     identity,
     kernel_basis,
@@ -26,11 +27,11 @@ def cofactor_det(m: IntegerMatrix) -> int:
     if n == 0:
         return 1
     if n == 1:
-        return m.entry(0, 0)
+        return entry(m, 0, 0)
     total = 0
     for j in range(n):
-        minor = [[m.entry(i, k) for k in range(n) if k != j] for i in range(1, n)]
-        total += (-1) ** j * m.entry(0, j) * cofactor_det(IntegerMatrix.from_rows(minor, cols=n - 1))
+        minor = [[entry(m, i, k) for k in range(n) if k != j] for i in range(1, n)]
+        total += (-1) ** j * entry(m, 0, j) * cofactor_det(IntegerMatrix.from_rows(minor, cols=n - 1))
     return total
 
 
@@ -43,7 +44,7 @@ def assert_valid_snf(a: IntegerMatrix) -> None:
     for i in range(a.rows):
         for j in range(a.cols):
             expected = snf.invariant_factors[i] if i == j and i < k else 0
-            assert snf.D.entry(i, j) == expected
+            assert entry(snf.D, i, j) == expected
     for d, e in zip(snf.invariant_factors, snf.invariant_factors[1:]):
         assert d > 0 and e % d == 0
 
@@ -78,6 +79,20 @@ def test_non_int_entries_raise(bad):
         IntegerMatrix.from_rows([[1, 0], [0, bad]])
     with pytest.raises(TypeError, match="matrix entries are int"):
         column([1, bad])
+
+
+@pytest.mark.parametrize("rows, cols, values", [(2, 1, [1, 2]), (1, 3, [1, 2]), (0, 2, [0])])
+def test_diagonal_rejects_more_values_than_the_shape_holds(rows, cols, values):
+    with pytest.raises(ValueError, match=f"fit a {rows}x{cols} matrix"):
+        IntegerMatrix.diagonal(rows, cols, values)
+
+
+@pytest.mark.parametrize("indices", [[5], [-1], [0, 2]])
+def test_take_columns_rejects_an_index_outside_the_matrix(indices):
+    a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    with pytest.raises(IndexError, match="outside 0..1 of a 2x2 matrix"):
+        a.take_columns(indices)
+    assert a.take_columns(range(2)) == a and a.take_columns(range(0)) == IntegerMatrix(2, 0, ({}, {}))
 
 
 def test_one_by_one():

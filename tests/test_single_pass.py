@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from bredon import chartab, cli, gcw, intlinalg, wallpaper
 from bredon.homology import chain_vector, compute_homology, verify_basis
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
-from snf_helpers import cokernel, hstack, identity, kernel_basis, solve_integer
+from snf_helpers import cokernel, col, hstack, identity, kernel_basis, solve_integer
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -213,7 +213,7 @@ def kernel_coordinate_verdict(report, degree, candidates) -> tuple[bool, str]:
     if differential is not None:
         image = differential @ cand
         for j in range(cand.cols):
-            if any(image.col(j)):
+            if any(col(image, j)):
                 return False, f"candidate {j + 1} is not a cycle"
     if degree == 0:
         stacked = hstack(cand, report.d1)
@@ -259,7 +259,7 @@ def random_families(report, degree, rng, count):
             family.append({lab: rng.randint(-3, 3) for lab in rng.sample(labels, min(3, len(labels)))})
         elif boundaries is not None and boundaries.cols:
             for chain in family:
-                column = boundaries.col(rng.randrange(boundaries.cols))
+                column = col(boundaries, rng.randrange(boundaries.cols))
                 _combine(chain, dict(zip(labels, column)), rng.randint(-2, 2))
         yield [{lab: c for lab, c in chain.items() if c} for chain in family]
 

@@ -19,14 +19,29 @@ CONWAY = {
 }
 
 
+def _from_cells(complex):
+    """(torsion primes, reflections, rotation orders) read off the stabilizers: the
+    primes dividing some stabilizer order; whether some edge orbit, a mirror, has a
+    nontrivial stabilizer; n for each D_n vertex and each C_n vertex (n >= 2) on no mirror."""
+    mirrors = {o.orbit_id for o in complex.orbits_of_dimension(1) if o.stabilizer != "C1"}
+    on_mirror = {t.target for t in complex.boundary if t.source in mirrors}
+    rotations = {
+        int(o.stabilizer[1:])
+        for o in complex.orbits_of_dimension(0)
+        if o.stabilizer[0] == "D" or (o.stabilizer != "C1" and o.orbit_id not in on_mirror)
+    }
+    orders = {chartab.GROUP_ORDERS[o.stabilizer] for o in complex.orbits}
+    torsion = {p for n in orders for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p))}
+    return frozenset(torsion), bool(mirrors), frozenset(rotations)
+
+
 def test_seventeen_groups_in_order():
     assert ALL_GROUPS == [
         "p1", "p2", "pm", "pg", "cm", "pmm", "pmg", "pgg", "cmm",
         "p4", "p4m", "p4g", "p3", "p3m1", "p31m", "p6", "p6m",
     ]
     # the names come from the cell structures; the hand data of the records
-    # (point group, split, glide reflections) lists them in the same order,
-    # and the other record fields are read off the cells
+    # (point group, split, glide reflections) lists them in the same order
     assert list(wallpaper._CELLS) == list(wallpaper._HAND) == ALL_GROUPS
 
 
@@ -58,23 +73,24 @@ def test_split_column():
 
 def test_torsion_primes():
     for name in ALL_GROUPS:
-        rec = wallpaper.get_group(name)[1]
+        torsion_primes = _from_cells(wallpaper.get_group(name)[0])[0]
         if name in ("p1", "pg"):
-            assert rec.torsion_primes == frozenset()
+            assert torsion_primes == frozenset()
         else:
-            assert rec.torsion_primes
-        assert rec.torsion_primes <= {2, 3}
-    assert wallpaper.get_group("p3")[1].torsion_primes == {3}
-    assert wallpaper.get_group("p6m")[1].torsion_primes == {2, 3}
+            assert torsion_primes
+        assert torsion_primes <= {2, 3}
+    assert _from_cells(wallpaper.get_group("p3")[0])[0] == {3}
+    assert _from_cells(wallpaper.get_group("p6m")[0])[0] == {2, 3}
 
 
 def test_rotation_and_reflection_columns():
-    rec = wallpaper.get_group("p6")[1]
-    assert rec.rotation_orders == {2, 3, 6} and not rec.has_reflections and not rec.has_glide_reflections
-    rec = wallpaper.get_group("cm")[1]
-    assert rec.rotation_orders == frozenset() and rec.has_reflections and rec.has_glide_reflections
-    rec = wallpaper.get_group("p4g")[1]
-    assert rec.rotation_orders == {2, 4}
+    complex, rec = wallpaper.get_group("p6")
+    _, reflections, rotations = _from_cells(complex)
+    assert rotations == {2, 3, 6} and not reflections and not rec.has_glide_reflections
+    complex, rec = wallpaper.get_group("cm")
+    _, reflections, rotations = _from_cells(complex)
+    assert rotations == frozenset() and reflections and rec.has_glide_reflections
+    assert _from_cells(wallpaper.get_group("p4g")[0])[2] == {2, 4}
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -103,8 +119,8 @@ def test_stabilizers_sit_inside_point_group(name):
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_torsion_free_groups_act_freely(name):
-    complex, record = wallpaper.get_group(name)
-    if not record.torsion_primes:
+    complex, _ = wallpaper.get_group(name)
+    if not _from_cells(complex)[0]:
         assert all(o.stabilizer == "C1" for o in complex.orbits)
     else:
         assert any(o.stabilizer != "C1" for o in complex.orbits)
@@ -133,7 +149,8 @@ def _digits(text):
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_cells_match_the_conway_orbifold_symbol(name):
-    complex, record = wallpaper.get_group(name)
+    complex, _ = wallpaper.get_group(name)
+    torsion_primes, has_reflections, rotation_orders = _from_cells(complex)
     symbol = CONWAY[name]
     # a cocompact plane group has orbifold Euler characteristic 0
     assert sum(Fraction((-1) ** o.dimension, chartab.GROUP_ORDERS[o.stabilizer]) for o in complex.orbits) == 0
@@ -156,7 +173,7 @@ def test_cells_match_the_conway_orbifold_symbol(name):
 
     digits = set(_digits(symbol))
     assert digits <= {2, 3, 4, 6}  # the crystallographic restriction
-    assert record.rotation_orders == digits
-    assert record.has_reflections == ("*" in symbol)
+    assert rotation_orders == digits
+    assert has_reflections == ("*" in symbol)
     primes = {p for p in (2, 3) if any(n % p == 0 for n in digits)}
-    assert record.torsion_primes == primes | ({2} if "*" in symbol else set())
+    assert torsion_primes == primes | ({2} if "*" in symbol else set())
