@@ -6,11 +6,11 @@ tables are embedded as literal data.  ``build_table`` checks each by exact
 row orthogonality when it first builds it (validating the embedding catalog
 at import builds all nine): all character values lie in Z[zeta_12], so |G|
 times each inner product is an ``int`` sum over their coefficient tuples.
-Restriction along a subgroup embedding is computed by pulling class values
-back through the embedding's class map; induction is its adjoint under the
-character inner product (Frobenius reciprocity), so its matrix is the
-transpose of the restriction matrix.  Induction matrices are memoised per
-embedding: each is computed on first use, once per process.
+Induction along a subgroup embedding is the adjoint of restriction under
+the character inner product (Frobenius reciprocity): row j of its matrix
+decomposes K's j-th irreducible pulled back through the embedding's class
+map, and the restriction matrix is its transpose.  Induction matrices are
+memoised per embedding: each is computed on first use, once per process.
 
 Conventions (fixed so that all matrices are reproducible):
 
@@ -31,10 +31,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, I, hermitian_sum
+from .cyclotomic import Cyclotomic, I, _coerce, hermitian_sum
 from .intlinalg import IntegerMatrix
-
-GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6, "D2": 4, "D3": 6, "D4": 8, "D6": 12}
 
 
 class CharacterTableError(ValueError):
@@ -103,10 +101,6 @@ class SubgroupEmbedding:
     @property
     def index(self) -> int:
         return GROUP_ORDERS[self.sup] // GROUP_ORDERS[self.sub]
-
-
-def _cy(v) -> Cyclotomic:
-    return v if isinstance(v, Cyclotomic) else Cyclotomic.of(v)
 
 
 _zeta = Cyclotomic.zeta_pow  # omega_3 = zeta^4, omega_6 = zeta^2
@@ -190,6 +184,7 @@ _TABLE_DATA: dict[str, tuple[list[tuple[str, int, int]], list[tuple[str, list]]]
 }
 
 GROUP_IDS = tuple(_TABLE_DATA)
+GROUP_ORDERS = {g: sum(size for _, size, _ in classes) for g, (classes, _) in _TABLE_DATA.items()}
 
 
 @lru_cache(maxsize=None)
@@ -202,15 +197,13 @@ def build_table(group_id: str) -> CharacterTable:
         group_id=group_id,
         order=GROUP_ORDERS[group_id],
         classes=tuple(ConjugacyClass(*c) for c in class_data),
-        irreducibles=tuple(Irreducible(name, tuple(_cy(v) for v in values)) for name, values in irr_data),
+        irreducibles=tuple(Irreducible(name, tuple(map(_coerce, values))) for name, values in irr_data),
     )
     _check_table(table)
     return table
 
 
 def _check_table(t: CharacterTable) -> None:
-    if sum(c.size for c in t.classes) != t.order:
-        raise CharacterTableError(f"{t.group_id}: class sizes do not sum to the group order")
     if any(t.order % c.element_order for c in t.classes):
         raise CharacterTableError(f"{t.group_id}: element order not dividing group order")
     if len(t.irreducibles) != len(t.classes):
@@ -230,7 +223,7 @@ def _pairing(f: Sequence[Cyclotomic], g: Sequence[Cyclotomic], table: CharacterT
     """|G| times the inner product of f and g: an ``int`` for class functions in Z[zeta_12]."""
     if len(f) != len(table.classes) or len(g) != len(table.classes):
         raise CharacterTableError(f"class function length mismatch for {table.group_id}")
-    total = hermitian_sum((c.size for c in table.classes), map(_cy, f), map(_cy, g))
+    total = hermitian_sum((c.size for c in table.classes), map(_coerce, f), map(_coerce, g))
     if any(total[1:]):
         raise CharacterTableError("inner product is not rational")
     return total[0]
@@ -261,17 +254,25 @@ def validate_embedding(emb: SubgroupEmbedding) -> None:
 
 
 def restriction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
-    """Matrix of Res: R(K) -> R(H) in the fixed bases of irreducibles.
+    """Matrix of Res: R(K) -> R(H); by Frobenius reciprocity the transpose of induction."""
+    return induction_matrix(emb).transpose()
 
-    Column j decomposes the pull-back of K's j-th irreducible through the
-    class map; every entry must come out a nonnegative integer, anything
-    else signals a broken embedding definition.
+
+@lru_cache(maxsize=None)
+def induction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
+    """Matrix of Ind: R(H) -> R(K) in the fixed bases of irreducibles.
+
+    Row j decomposes the pull-back of K's j-th irreducible through the class
+    map (Frobenius reciprocity); every entry must come out a nonnegative
+    integer, anything else signals a broken embedding definition.  Memoised
+    per embedding (embeddings are frozen, matrices immutable); a broken
+    embedding raises before anything is cached, so on every call.
     """
     sub, sup = build_table(emb.sub), build_table(emb.sup)
-    cols = []
+    rows = []
     for psi in sup.irreducibles:
         pulled = tuple(psi.values[sup.class_index(emb.mapped(c.label))] for c in sub.classes)
-        col = []
+        row = []
         for chi in sub.irreducibles:
             coeff, remainder = divmod(_pairing(pulled, chi.values, sub), sub.order)
             if remainder or coeff < 0:
@@ -279,24 +280,13 @@ def restriction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
                 raise CharacterTableError(
                     f"{emb.embedding_id}: restriction of {psi.name} decomposes with coefficient {coeff}"
                 )
-            col.append(coeff)
-        cols.append(col)
-    return IntegerMatrix.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(sub.rank)], cols=sup.rank)
-
-
-@lru_cache(maxsize=None)
-def induction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
-    """Matrix of Ind: R(H) -> R(K); by Frobenius reciprocity the transpose of restriction.
-
-    Memoised per embedding (embeddings are frozen, matrices immutable); a
-    broken embedding raises before anything is cached, so on every call.
-    """
-    return restriction_matrix(emb).transpose()
+            row.append(coeff)
+        rows.append(row)
+    return IntegerMatrix.from_rows(rows)
 
 
 def _identity_embedding(g: str) -> SubgroupEmbedding:
-    labels = [c.label for c in build_table(g).classes]
-    return SubgroupEmbedding(f"{g}->{g}", g, g, tuple((x, x) for x in labels))
+    return SubgroupEmbedding(f"{g}->{g}", g, g, tuple((x, x) for x, _, _ in _TABLE_DATA[g][0]))
 
 
 def _trivial_embedding(g: str) -> SubgroupEmbedding:

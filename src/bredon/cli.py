@@ -117,8 +117,8 @@ def cmd_compute(args) -> int:
     names = wallpaper.list_groups() if args.all else [args.group]
     reports = [homology.compute_homology(wallpaper.get_group(name)[0]) for name in names]
     if args.format == "json":
-        payload = [homology.report_to_json_dict(rep) for rep in reports]
-        print(schemas.dumps(payload[0] if not args.all else payload))
+        docs = [homology.report_doc(rep) for rep in reports]
+        print(schemas.dumps(docs if args.all else docs[0]))
     else:
         print(_report_rows(reports))
         for rep in reports:
@@ -248,7 +248,7 @@ def cmd_dump(args) -> int:
     except gcw.InvalidComplexError as exc:
         return _fail_input("\n".join(f"{args.from_file}: {v}" for v in exc.violations))
     if args.format == "json":
-        print(homology.report_to_json(rep))
+        print(schemas.dumps(homology.report_doc(rep)))
     else:
         print(_report_rows([rep]))
     return EXIT_OK

@@ -252,20 +252,16 @@ def _group_json(g: HomologyGroup) -> dict:
     }
 
 
-def report_to_json_dict(report: HomologyReport) -> dict:
-    return _report_doc(report, IntegerMatrix.to_rows)
-
-
-def _report_doc(report: HomologyReport, entries) -> dict:
-    """The report as JSON data, with ``entries(d)`` for the entries of each differential d."""
+def report_doc(report: HomologyReport) -> dict:
+    """The report as one document for ``schemas.dumps``; each differential's entries are its ``IntegerMatrix``."""
     return {
         "group": report.group_name,
         "chain_ranks": list(report.chain_ranks),
         "generators": [list(ls) for ls in report.labels],
         "homology": [_group_json(g) for g in report.groups],
         "differentials": {
-            "d1": {"rows": report.d1.rows, "cols": report.d1.cols, "entries": entries(report.d1)},
-            "d2": {"rows": report.d2.rows, "cols": report.d2.cols, "entries": entries(report.d2)},
+            "d1": {"rows": report.d1.rows, "cols": report.d1.cols, "entries": report.d1},
+            "d2": {"rows": report.d2.rows, "cols": report.d2.cols, "entries": report.d2},
         },
         "invariant_factors": {
             "d1": list(report.invariant_factors_d1),
@@ -274,11 +270,19 @@ def _report_doc(report: HomologyReport, entries) -> dict:
     }
 
 
+def report_to_json_dict(report: HomologyReport) -> dict:
+    """``report_doc`` as plain JSON data: each differential's entries as its list of dense rows."""
+    doc = report_doc(report)
+    for d in doc["differentials"].values():
+        d["entries"] = d["entries"].to_rows()
+    return doc
+
+
 def report_to_json(report: HomologyReport) -> str:
-    """``schemas.dumps(report_to_json_dict(report))``; each differential is written from its nonzeros."""
+    """``schemas.dumps(report_doc(report))``, the text of ``report_to_json_dict(report)``."""
     from .schemas import dumps
 
-    return dumps(_report_doc(report, lambda d: d))
+    return dumps(report_doc(report))
 
 
 def basis_cell(group: HomologyGroup) -> str:

@@ -140,46 +140,48 @@ def _explain(data, what: str) -> None:
 
 def dumps(value) -> str:
     """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python
-    encoder that ``indent`` selects: strings go through the C string encoder, a
-    list of ``int`` (never ``bool``) or of ``str`` is joined in one pass, and an
-    ``IntegerMatrix`` is written as the list of its rows, from its nonzeros:
-    each row is the text of an all-zero row with the 0 of each nonzero
-    replaced.  Any other value is ``json.dumps``'s own text, re-indented to
-    its depth (JSON text holds no raw newline outside its layout)."""
+    encoder that ``indent`` selects.  One walk appends every piece of text to one
+    list, joined once at the end.  Strings go through the C string encoder; lists
+    and objects with ``str`` keys share one item loop; an ``IntegerMatrix`` is the
+    list of its rows, each spliced from its nonzeros into the text of an all-zero
+    row built once per matrix.  Any other value is ``json.dumps``'s own text,
+    re-indented to its depth (JSON text holds no raw newline outside its layout)."""
     import json  # only the commands that write JSON load it
     from json.encoder import encode_basestring_ascii as quote
 
-    def write(value, pad: str) -> str:
+    out: list[str] = []
+
+    def write(value, pad: str) -> None:
         kind = type(value)
-        if kind is str:
-            return quote(value)
-        if kind is int:
-            return int.__repr__(value)
+        if kind is str or kind is int:
+            return out.append(quote(value) if kind is str else int.__repr__(value))
         inner = pad + "  "
         sep = ",\n" + inner
-        if kind is IntegerMatrix:
-            zeros, pieces = write([0] * value.cols, inner), [f"[\n{inner}"]
+        if kind is IntegerMatrix and value.rows:
+            zeros = (f"[\n{inner}  " + f"{sep}  ".join(["0"] * value.cols) + f"\n{inner}]") if value.cols else "[]"
             head, step = len(inner) + 4, len(sep) + 3  # where column 0's 0 stands in ``zeros``, and the next's
+            out.append("[\n" + inner)
             for row in value.nonzeros:
                 at = 0
                 for j in sorted(row):
                     cut = head + j * step
-                    pieces += (zeros[at:cut], int.__repr__(row[j]))
+                    out.extend((zeros[at:cut], int.__repr__(row[j])))
                     at = cut + 1
-                pieces += (zeros[at:], sep)
-            pieces[-1] = f"\n{pad}]"
-            return "".join(pieces) if value.rows else "[]"
-        if kind is list and value:
-            if (kinds := set(map(type, value))) in ({int}, {str}):
-                body = sep.join(map(quote if str in kinds else int.__repr__, value))
-            else:
-                body = sep.join([write(item, inner) for item in value])
-            return f"[\n{inner}{body}\n{pad}]"
-        if (kind is list or kind is dict) and not value:
-            return "[]" if kind is list else "{}"
-        if kind is dict and value and set(map(type, value)) == {str}:
-            body = sep.join([f"{quote(key)}: {write(item, inner)}" for key, item in value.items()])
-            return f"{{\n{inner}{body}\n{pad}}}"
-        return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+                out.extend((zeros[at:], sep))
+            out[-1] = f"\n{pad}]"
+        elif kind is IntegerMatrix or (kind is list or kind is dict) and not value:
+            out.append("{}" if kind is dict else "[]")
+        elif kind is list or kind is dict and set(map(type, value)) == {str}:
+            out.append(("[\n" if kind is list else "{\n") + inner)
+            for item in value.items() if kind is dict else value:
+                if kind is dict:
+                    key, item = item
+                    out.append(quote(key) + ": ")
+                write(item, inner)
+                out.append(sep)
+            out[-1] = f"\n{pad}" + ("]" if kind is list else "}")
+        else:
+            out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
 
-    return write(value, "")
+    write(value, "")
+    return "".join(out)

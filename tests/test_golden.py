@@ -28,7 +28,7 @@ import random
 
 import pytest
 
-from bredon import gcw, intlinalg, reference, wallpaper
+from bredon import gcw, homology, intlinalg, reference, wallpaper
 from bredon.cli import main
 from bredon.homology import compute_homology, verify_basis
 from subdivision import subdivided_group
@@ -195,3 +195,21 @@ def test_dump_from_file_of_a_subdivision(capsys, tmp_path, name, steps):
     for d in (0, 1, 2):
         g = report.group(d)
         assert verify_basis(report, d, g.torsion_basis + g.basis).accepted, (name, steps, d)
+
+
+def test_compute_json_is_written_from_the_differentials_nonzeros(capsys, monkeypatch, tmp_path):
+    """``compute --format json`` builds no dense rows: it writes the document
+    that ``dump --from-file --format json`` writes, with the same bytes."""
+
+    def dense_report(report):
+        raise AssertionError("compute --format json built the dense report")
+
+    monkeypatch.setattr(homology, "report_to_json_dict", dense_report)
+    assert digest(capsys, "compute", "--all", "--format", "json") == (0, COMPUTE_ALL_JSON)
+    assert main(["dump", "--dump-complex", "p6m"]) == 0
+    path = tmp_path / "p6m.json"
+    path.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["compute", "p6m", "--format", "json"]) == 0
+    computed = capsys.readouterr().out
+    assert main(["dump", "--from-file", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == computed

@@ -1,6 +1,6 @@
 """``schemas.dumps`` writes exactly what ``json.dumps(value, indent=2)`` writes,
 and an ``IntegerMatrix``, written from its nonzeros, exactly what its dense
-rows would."""
+rows would, at any depth."""
 
 import json
 
@@ -13,6 +13,17 @@ from bredon.homology import compute_homology, report_to_json, report_to_json_dic
 from bredon.intlinalg import IntegerMatrix
 from subdivision import subdivided_group
 
+
+@st.composite
+def sparse_rows(draw, max_dim=7):
+    """(cols, rows) of a matrix from 0x0 to max_dim x max_dim, mostly zeros,
+    with entries up to +-2**70; all-zero rows and nonzeros in the first and
+    last column come up often at these sizes."""
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    entries = st.one_of(st.just(0), st.just(0), st.integers(-(2**70), 2**70))
+    return n, draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+
+
 #: Strings with non-ASCII and control characters, integers past 2**64, bools and None.
 scalars = st.one_of(
     st.text(),
@@ -22,9 +33,11 @@ scalars = st.one_of(
     st.booleans(),
     st.none(),
 )
-#: Nested objects and arrays, empty ones at every depth; arrays of ints take the joined path.
+#: Small matrices, m x 0 and 0 x n among them.
+matrices = sparse_rows(max_dim=4).map(lambda shaped: IntegerMatrix.from_rows(shaped[1], cols=shaped[0]))
+#: Nested objects and arrays, empty ones at every depth, with scalar and matrix leaves.
 values = st.recursive(
-    scalars,
+    st.one_of(scalars, matrices),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.dictionaries(st.text(max_size=8), children, max_size=5),
@@ -34,10 +47,21 @@ values = st.recursive(
 )
 
 
+def dense(value):
+    """``value`` with each ``IntegerMatrix`` in it replaced by its list of rows."""
+    if type(value) is IntegerMatrix:
+        return value.to_rows()
+    if type(value) is list:
+        return [dense(item) for item in value]
+    if type(value) is dict:
+        return {key: dense(item) for key, item in value.items()}
+    return value
+
+
 @settings(max_examples=300)
 @given(values)
 def test_matches_the_standard_library(value):
-    assert schemas.dumps(value) == json.dumps(value, indent=2)
+    assert schemas.dumps(value) == json.dumps(dense(value), indent=2)
 
 
 @pytest.mark.parametrize(
@@ -57,23 +81,16 @@ def test_matches_the_standard_library_on_edge_cases(value):
     assert schemas.dumps(value) == json.dumps(value, indent=2)
 
 
-@st.composite
-def sparse_rows(draw, max_dim=7):
-    """(cols, rows) of a matrix from 0x0 to max_dim x max_dim, mostly zeros,
-    with entries up to +-2**70; all-zero rows and nonzeros in the first and
-    last column come up often at these sizes."""
-    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
-    entries = st.one_of(st.just(0), st.just(0), st.integers(-(2**70), 2**70))
-    return n, draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
-
-
 def assert_matrix_text(cols: int, rows: list) -> None:
-    """The matrix writes as its dense rows would: alone, and where a report writes a differential."""
+    """The matrix writes as its dense rows would: alone, where a report writes
+    a differential, and where ``compute --all`` does, in a list of reports."""
     m = IntegerMatrix.from_rows(rows, cols=cols)
-    assert schemas.dumps(m) == json.dumps(rows, indent=2)
-    doc = {"differentials": {"d1": {"rows": m.rows, "cols": m.cols, "entries": m}}}
-    dense = {"differentials": {"d1": {"rows": m.rows, "cols": m.cols, "entries": rows}}}
-    assert schemas.dumps(doc) == json.dumps(dense, indent=2)
+
+    def report(entries, group: str) -> dict:
+        return {"group": group, "differentials": {"d1": {"rows": m.rows, "cols": m.cols, "entries": entries}}}
+
+    for place in (lambda e: e, lambda e: report(e, "p1"), lambda e: [report(e, "p1"), report(e, "p2")]):
+        assert schemas.dumps(place(m)) == json.dumps(place(rows), indent=2)
 
 
 @settings(max_examples=300)
