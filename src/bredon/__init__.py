@@ -18,7 +18,7 @@ _EXPORTS = {
         ("chartab", "CharacterTable ConjugacyClass SubgroupEmbedding build_table induction_matrix inner_product "
          "registered_embeddings restriction_matrix"),
         ("cyclotomic", "Cyclotomic"),
-        ("gcw", "BoundaryTerm CellOrbit EquivariantComplex GeneratorLabel assemble_differential chain_rank validate"),
+        ("gcw", "BoundaryTerm CellOrbit EquivariantComplex assemble_differential chain_rank validate"),
         ("homology", "BasisVerdict HomologyGroup HomologyReport compute_homology verify_basis"),
         ("intlinalg", "CokernelPresentation IntegerMatrix SNFDecomposition smith_normal_form"),
         ("wallpaper", "GroupRecord get_group list_groups"),

@@ -6,7 +6,9 @@ embedding of the source stabilizer into the target stabilizer.  The
 degree-d chain group is the direct sum of the representation rings of the
 d-cell stabilizers; the differential assembles blockwise from signed
 induction matrices.  Generator labels follow the alpha/beta/gamma naming
-of the cell dimension, with the irreducible index as superscript.
+of the cell dimension, with the irreducible index as superscript.  A complex
+is checked once, in the pass that derives its chain layout; assembly reads
+only the terms that pass kept, and refuses a complex with any violation.
 """
 
 from __future__ import annotations
@@ -48,19 +50,9 @@ class BoundaryTerm:
     embedding: str
 
 
-@dataclass(frozen=True)
-class GeneratorLabel:
-    """One generator of a chain group: its orbit id and its printed name."""
-
-    cell: str
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
-
-ChainLayout = namedtuple("ChainLayout", ("orbits", "labels", "offsets"))
-ChainLayout.__doc__ = """Orbits by id; per degree d, the generators and the offset of each orbit's block."""
+ChainLayout = namedtuple("ChainLayout", ("labels", "offsets", "terms", "violations"))
+ChainLayout.__doc__ = """Per degree d: generator names, each orbit's block offset and the valid terms out of C_d as
+(row offset, column offset, sign, embedding); then every violation, as human-readable strings."""
 
 
 @dataclass(frozen=True)
@@ -76,118 +68,102 @@ class EquivariantComplex:
 
     @cached_property
     def layout(self) -> ChainLayout:
-        """The chain layout, derived once per complex on first read.
+        """The chain layout and every check of the complex, in one pass on first read.
 
-        Generators come in orbit order, then irreducible order.  An orbit
-        whose stabilizer has a single irreducible gets its bare label stem;
-        otherwise the 1-based irreducible index is appended as ^k.  Orbits
-        whose dimension is not an ``int`` in 0..2 belong to no chain group.
+        Generators come in orbit order, then irreducible order; a stabilizer
+        with one irreducible gives the bare label stem, else ^k is appended
+        (1-based).  An orbit whose dimension is not an ``int`` in 0..2, or
+        whose stabilizer is unknown, belongs to no chain group; any orbit
+        violation ends the pass before the terms are checked.  Only d1·d2 = 0
+        is left to ``differentials``.
         """
-        labels: tuple[list[GeneratorLabel], ...] = ([], [], [])
+        labels: tuple[list[str], ...] = ([], [], [])
         offsets: tuple[dict[str, int], ...] = ({}, {}, {})
+        terms: tuple[list[tuple], ...] = ([], [], [])
+        violations: list[str] = []
+        orbits: dict[str, CellOrbit] = {}
         for orbit in self.orbits:
             d = orbit.dimension
-            if type(d) is not int or d not in (0, 1, 2):
+            if orbit.orbit_id in orbits:
+                violations.append(f"duplicate orbit id {orbit.orbit_id!r}")
+            orbits[orbit.orbit_id] = orbit
+            if not (in_range := type(d) is int and d in (0, 1, 2)):
+                violations.append(f"orbit {orbit.orbit_id}: dimension {d} out of range")
+            if orbit.stabilizer not in chartab.GROUP_IDS:
+                violations.append(f"orbit {orbit.orbit_id}: unknown stabilizer {orbit.stabilizer!r}")
+            elif in_range:
+                rank = chartab.build_table(orbit.stabilizer).rank
+                offsets[d][orbit.orbit_id] = len(labels[d])
+                labels[d].extend([orbit.label] if rank == 1 else [f"{orbit.label}^{k}" for k in range(1, rank + 1)])
+        layout = ChainLayout(tuple(map(tuple, labels)), offsets, terms, violations)  # terms and violations fill in below
+        if violations:
+            return layout
+
+        # Orbit ids are unique and every stabilizer is known from here on.
+        if len(offsets[2]) != 1:
+            violations.append(f"expected exactly one orbit of 2-cells, found {len(offsets[2])}")
+        if len(set(names := [name for degree in labels for name in degree])) != len(names):
+            violations.append("generator labels are not unique")
+        for term in self.boundary:
+            where = f"boundary term {term.source}->{term.target}"
+            if (src := orbits.get(term.source)) is None or (tgt := orbits.get(term.target)) is None:
+                violations.append(f"{where}: references a missing orbit")
                 continue
-            rank = chartab.build_table(orbit.stabilizer).rank
-            offsets[d][orbit.orbit_id] = len(labels[d])
-            names = [orbit.label] if rank == 1 else [f"{orbit.label}^{k}" for k in range(1, rank + 1)]
-            labels[d].extend(GeneratorLabel(orbit.orbit_id, name) for name in names)
-        return ChainLayout({o.orbit_id: o for o in self.orbits}, tuple(map(tuple, labels)), offsets)
+            if src.dimension != tgt.dimension + 1:
+                violations.append(f"{where}: dimensions {src.dimension}->{tgt.dimension} are not consecutive")
+                continue
+            found = len(violations)
+            if type(term.sign) is not int or term.sign not in (1, -1):
+                violations.append(f"{where}: sign must be +1 or -1")
+            try:
+                emb = chartab.get_embedding(term.embedding)
+            except chartab.CharacterTableError:
+                violations.append(f"{where}: unknown embedding {term.embedding!r}")
+                continue
+            if emb.sub != src.stabilizer:
+                violations.append(f"{where}: embedding {term.embedding} has sub {emb.sub}, stabilizer is {src.stabilizer}")
+            if emb.sup != tgt.stabilizer:
+                violations.append(f"{where}: embedding {term.embedding} has sup {emb.sup}, stabilizer is {tgt.stabilizer}")
+            if len(violations) == found:
+                d = src.dimension
+                terms[d].append((offsets[d - 1][term.target], offsets[d][term.source], term.sign, emb))
+        return layout
 
 
-def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[GeneratorLabel]]:
-    """The rank of the degree-d chain group and its generators (see ``ChainLayout``)."""
+def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[str]]:
+    """The rank of the degree-d chain group and its generator names (see ``ChainLayout``)."""
     if d not in (0, 1, 2):
         raise ValueError("chain degree must be 0, 1 or 2")
-    labels = complex.layout.labels[d]
-    return len(labels), list(labels)
+    return len(complex.layout.labels[d]), list(complex.layout.labels[d])
 
 
 def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
-    """The block matrix of the boundary map C_d -> C_{d-1}.
+    """The block matrix of the boundary map C_d -> C_{d-1}, read off the layout's valid terms.
 
-    Each boundary term adds sign times the nonzeros of the induction matrix
-    of its embedding to the rows of its block, so assembly costs only those
-    nonzeros; terms that cancel (same orbit pair and embedding, opposite
-    signs) leave no entry.
+    ``InvalidComplexError`` lists the layout's violations, if any.  Each term
+    adds sign times the nonzeros of its embedding's induction matrix to the
+    rows of its block; terms that cancel (same orbit pair and embedding,
+    opposite signs) leave no entry.
     """
     if d not in (1, 2):
         raise ValueError("differential degree must be 1 or 2")
     layout = complex.layout
-    src_offsets, tgt_offsets = layout.offsets[d], layout.offsets[d - 1]
-    nrows, ncols = len(layout.labels[d - 1]), len(layout.labels[d])
-    data: list[dict[int, int]] = [{} for _ in range(nrows)]
-    blocks: dict[str, tuple] = {}  # embedding id: its (sub, sup) and the (i, j, value) nonzeros of its induction
-    for term in complex.boundary:
-        if term.source not in src_offsets:
-            continue
-        if term.target not in tgt_offsets:
-            raise InvalidComplexError([f"boundary term {term.source}->{term.target} skips a dimension"])
-        if (block := blocks.get(term.embedding)) is None:
-            emb = chartab.get_embedding(term.embedding)
-            ind = enumerate(chartab.induction_matrix(emb).nonzeros)
-            block = blocks[term.embedding] = (emb.sub, emb.sup), [(i, j, v) for i, r in ind for j, v in r.items()]
-        stabilizers = layout.orbits[term.source].stabilizer, layout.orbits[term.target].stabilizer
-        if block[0] != stabilizers:
-            raise InvalidComplexError([f"embedding {term.embedding} does not match stabilizers {' -> '.join(stabilizers)}"])
-        r0, c0, sign = tgt_offsets[term.target], src_offsets[term.source], term.sign
-        for i, j, v in block[1]:
+    if layout.violations:
+        raise InvalidComplexError(layout.violations)
+    data: list[dict[int, int]] = [{} for _ in layout.labels[d - 1]]
+    for r0, c0, sign, emb in layout.terms[d]:
+        for i, row in enumerate(chartab.induction_matrix(emb).nonzeros):
             target = data[r0 + i]
-            if x := target.get(c0 + j, 0) + sign * v:
-                target[c0 + j] = x
-            else:
-                del target[c0 + j]
-    return IntegerMatrix(nrows, ncols, tuple(data))
+            for j, v in row.items():
+                if x := target.get(c0 + j, 0) + sign * v:
+                    target[c0 + j] = x
+                else:
+                    del target[c0 + j]
+    return IntegerMatrix(len(data), len(layout.labels[d]), tuple(data))
 
 
 def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMatrix]:
     """(d1, d2), each assembled once; ``InvalidComplexError`` lists the violations."""
-    violations: list[str] = []
-    seen = set()
-    for o in complex.orbits:
-        if o.orbit_id in seen:
-            violations.append(f"duplicate orbit id {o.orbit_id!r}")
-        seen.add(o.orbit_id)
-        if type(o.dimension) is not int or o.dimension not in (0, 1, 2):
-            violations.append(f"orbit {o.orbit_id}: dimension {o.dimension} out of range")
-        if o.stabilizer not in chartab.GROUP_IDS:
-            violations.append(f"orbit {o.orbit_id}: unknown stabilizer {o.stabilizer!r}")
-    if violations:
-        raise InvalidComplexError(violations)
-
-    # Orbit ids are unique and every stabilizer is known from here on.
-    layout = complex.layout
-    if len(layout.offsets[2]) != 1:
-        violations.append(f"expected exactly one orbit of 2-cells, found {len(layout.offsets[2])}")
-
-    all_labels = [lab.name for labels in layout.labels for lab in labels]
-    if len(set(all_labels)) != len(all_labels):
-        violations.append("generator labels are not unique")
-
-    for term in complex.boundary:
-        where = f"boundary term {term.source}->{term.target}"
-        if term.source not in layout.orbits or term.target not in layout.orbits:
-            violations.append(f"{where}: references a missing orbit")
-            continue
-        src, tgt = layout.orbits[term.source], layout.orbits[term.target]
-        if src.dimension != tgt.dimension + 1:
-            violations.append(f"{where}: dimensions {src.dimension}->{tgt.dimension} are not consecutive")
-            continue
-        if type(term.sign) is not int or term.sign not in (1, -1):
-            violations.append(f"{where}: sign must be +1 or -1")
-        try:
-            emb = chartab.get_embedding(term.embedding)
-        except chartab.CharacterTableError:
-            violations.append(f"{where}: unknown embedding {term.embedding!r}")
-            continue
-        if emb.sub != src.stabilizer:
-            violations.append(f"{where}: embedding {term.embedding} has sub {emb.sub}, stabilizer is {src.stabilizer}")
-        if emb.sup != tgt.stabilizer:
-            violations.append(f"{where}: embedding {term.embedding} has sup {emb.sup}, stabilizer is {tgt.stabilizer}")
-    if violations:
-        raise InvalidComplexError(violations)
-
     d1 = assemble_differential(complex, 1)
     d2 = assemble_differential(complex, 2)
     if not (d1 @ d2).is_zero():

@@ -105,7 +105,7 @@ def _chains_from_columns(labels: Sequence[str], m: IntegerMatrix) -> tuple[Chain
 
 def compute_homology(complex: EquivariantComplex) -> HomologyReport:
     d1, d2 = differentials(complex)
-    labels = tuple(tuple(lab.name for lab in degree) for degree in complex.layout.labels)
+    labels = complex.layout.labels
     snf1, snf2 = smith_normal_form(d1), smith_normal_form(d2)
 
     # Degree 0: plain cokernel of the degree-1 differential.

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from bredon import wallpaper
+from bredon import chartab, wallpaper
 from bredon.gcw import (
     BoundaryTerm,
     CellOrbit,
@@ -33,7 +33,7 @@ def cx(name):
 def test_chain_rank_p2_degree0():
     rank, labels = chain_rank(cx("p2"), 0)
     assert rank == 8
-    assert [l.name for l in labels] == [
+    assert labels == [
         "alpha_0^1", "alpha_0^2", "alpha_1^1", "alpha_1^2",
         "alpha_2^1", "alpha_2^2", "alpha_3^1", "alpha_3^2",
     ]
@@ -42,13 +42,13 @@ def test_chain_rank_p2_degree0():
 def test_chain_rank_p1_degree2():
     rank, labels = chain_rank(cx("p1"), 2)
     assert rank == 1
-    assert labels[0].name == "gamma"
+    assert labels == ["gamma"]
 
 
 def test_chain_rank_p6m_degree0():
     rank, labels = chain_rank(cx("p6m"), 0)
     assert rank == 13  # D6, D3, D2 contribute 6 + 3 + 4
-    assert labels[0].name == "alpha_0^1" and labels[-1].name == "alpha_2^4"
+    assert labels[0] == "alpha_0^1" and labels[-1] == "alpha_2^4"
 
 
 def test_chain_rank_bad_degree():
@@ -197,6 +197,80 @@ def test_non_int_sign_is_a_violation(value):
     assert validate(mutated) == [f"boundary term e2->{t.target}: sign must be +1 or -1" for t in terms if t.source == "e2"]
     with pytest.raises(InvalidComplexError):
         differentials(mutated)
+
+
+V, E, F = CellOrbit("v", 0, "C1", "alpha"), CellOrbit("e", 1, "C1", "beta"), CellOrbit("f", 2, "C1", "gamma")
+
+#: One small complex per violation message, with the exact list ``validate`` returns.
+VIOLATIONS = {
+    "duplicate id": ((F, F), (), ["duplicate orbit id 'f'"]),
+    "dimension": ((dataclasses.replace(F, dimension=3),), (), ["orbit f: dimension 3 out of range"]),
+    "stabilizer": ((dataclasses.replace(F, stabilizer="C7"),), (), ["orbit f: unknown stabilizer 'C7'"]),
+    "two-cells": ((V,), (), ["expected exactly one orbit of 2-cells, found 0"]),
+    "labels": ((dataclasses.replace(V, label="gamma"), F), (), ["generator labels are not unique"]),
+    "missing": ((F,), (BoundaryTerm("f", "nowhere", 1, "C1->C1"),), ["boundary term f->nowhere: references a missing orbit"]),
+    "consecutive": (
+        (V, F),
+        (BoundaryTerm("f", "v", 1, "C1->C1"),),
+        ["boundary term f->v: dimensions 2->0 are not consecutive"],
+    ),
+    "sign": ((E, F), (BoundaryTerm("f", "e", 2, "C1->C1"),), ["boundary term f->e: sign must be +1 or -1"]),
+    "embedding": ((E, F), (BoundaryTerm("f", "e", 1, "C1->C5"),), ["boundary term f->e: unknown embedding 'C1->C5'"]),
+    "sub": (
+        (dataclasses.replace(E, stabilizer="C2"), F),
+        (BoundaryTerm("f", "e", 1, "C2->C2"),),
+        ["boundary term f->e: embedding C2->C2 has sub C2, stabilizer is C1"],
+    ),
+    "sup": (
+        (E, F),
+        (BoundaryTerm("f", "e", 1, "C1->C2"),),
+        ["boundary term f->e: embedding C1->C2 has sup C2, stabilizer is C1"],
+    ),
+    "composition": (
+        (V, E, F),
+        (BoundaryTerm("e", "v", 1, "C1->C1"), BoundaryTerm("f", "e", 1, "C1->C1")),
+        ["differentials do not compose to zero"],
+    ),
+}
+
+
+@pytest.mark.parametrize("orbits, boundary, expected", VIOLATIONS.values(), ids=VIOLATIONS)
+def test_each_violation_message(orbits, boundary, expected):
+    assert validate(EquivariantComplex("broken", orbits, boundary)) == expected
+
+
+def _replace_terms(base, source, **changes):
+    terms = [dataclasses.replace(t, **changes) if t.source == source else t for t in base.boundary]
+    return dataclasses.replace(base, boundary=tuple(terms))
+
+
+@pytest.mark.parametrize(
+    "mutated",
+    [
+        _replace_terms(cx("pmm"), "e2", sign=1.0),
+        _replace_terms(cx("pmm"), "e2", sign=3),
+        _replace_terms(cx("pmm"), "e2", target="nowhere"),
+        _replace_terms(cx("pmm"), "e1^1", embedding="C2->C5"),
+    ],
+    ids=["float-sign", "scaling-sign", "missing-target", "unknown-embedding"],
+)
+@pytest.mark.parametrize("d", (1, 2))
+def test_assembly_refuses_what_validate_rejects(mutated, d):
+    # no float and no scaled block reaches an IntegerMatrix
+    with pytest.raises(InvalidComplexError) as excinfo:
+        assemble_differential(mutated, d)
+    assert excinfo.value.violations == validate(mutated) != []
+
+
+def test_second_differentials_reads_no_embedding(monkeypatch):
+    looked_up = []
+    get_embedding = chartab.get_embedding
+    monkeypatch.setattr(chartab, "get_embedding", lambda emb_id: looked_up.append(emb_id) or get_embedding(emb_id))
+    complex = dataclasses.replace(cx("pmm"))  # a fresh, unread layout looks up each term's embedding once
+    first = differentials(complex)
+    assert len(looked_up) == len(complex.boundary) == 12
+    assert differentials(complex) == first
+    assert len(looked_up) == 12
 
 
 # ---------------------------------------------------------------------------
