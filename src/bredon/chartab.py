@@ -27,8 +27,8 @@ that restriction and induction of characters depend on.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import Cyclotomic, I, _coerce, hermitian_sum
@@ -39,35 +39,26 @@ class CharacterTableError(ValueError):
     """A table or embedding fails its structural checks."""
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(namedtuple("ConjugacyClass", "label size element_order")):
     """One conjugacy class: its label, size and element order."""
 
-    label: str
-    size: int
-    element_order: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Irreducible:
-    """One irreducible character: its name and its values by class."""
+class Irreducible(namedtuple("Irreducible", "name values")):
+    """One irreducible character: its name and its values by class, a tuple of ``Cyclotomic``."""
 
-    name: str
-    values: tuple[Cyclotomic, ...]
+    __slots__ = ()
 
     @property
     def degree(self) -> int:
         return int(self.values[0].as_rational())
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(namedtuple("CharacterTable", "group_id order classes irreducibles")):
     """Full complex character table of one stabilizer group."""
 
-    group_id: str
-    order: int
-    classes: tuple[ConjugacyClass, ...]
-    irreducibles: tuple[Irreducible, ...]
+    __slots__ = ()
 
     def class_index(self, label: str) -> int:
         for i, c in enumerate(self.classes):
@@ -83,14 +74,11 @@ class CharacterTable:
         return len(self.irreducibles)
 
 
-@dataclass(frozen=True)
-class SubgroupEmbedding:
-    """A class-level embedding H -> K: a total map on conjugacy classes."""
+class SubgroupEmbedding(namedtuple("SubgroupEmbedding", "embedding_id sub sup class_map")):
+    """A class-level embedding H -> K: a total map on conjugacy classes, as (H label, K label) pairs.
+    ``index`` is [K : H], in place of the tuple method of that name."""
 
-    embedding_id: str
-    sub: str
-    sup: str
-    class_map: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
     def mapped(self, h_label: str) -> str:
         for a, b in self.class_map:
@@ -265,7 +253,7 @@ def induction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
     Row j decomposes the pull-back of K's j-th irreducible through the class
     map (Frobenius reciprocity); every entry must come out a nonnegative
     integer, anything else signals a broken embedding definition.  Memoised
-    per embedding (embeddings are frozen, matrices immutable); a broken
+    per embedding (embeddings are hashable tuples, matrices immutable); a broken
     embedding raises before anything is cached, so on every call.
     """
     sub, sup = build_table(emb.sub), build_table(emb.sup)

@@ -6,16 +6,18 @@ root of unity zeta, since every group element has order dividing 12.
 Elements are residue polynomials a + b*x + c*x^2 + d*x^3 with rational
 coefficients, reduced modulo the 12th cyclotomic polynomial
 x^4 - x^2 + 1.  Every character value of these groups lies in Z[zeta],
-so coefficients are plain ``int``s: ``of`` turns an integral ``Fraction``
-into an ``int`` and keeps a ``Fraction`` only for a true rational, and
-sums and products of ``int`` coefficients stay ``int``.  No floating
-point anywhere: any other coefficient type is a ``TypeError``.
+so coefficients are plain ``int``s: the constructor turns an integral
+``Fraction`` into an ``int`` and keeps a ``Fraction`` only for a true
+rational, and sums and products of ``int`` coefficients stay ``int``.  No floating
+point anywhere: the constructor takes exactly four coefficients, and any
+other coefficient type, a ``bool`` or a ``float`` too, is a ``TypeError``.
+A ``Cyclotomic`` is a small immutable class, not a tuple: it has no
+order, length or iteration.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # ``fractions`` is imported only where a coefficient is not an int
@@ -26,7 +28,7 @@ if TYPE_CHECKING:  # ``fractions`` is imported only where a coefficient is not a
 
 def _exact(v: Rational) -> Rational:
     """An exact coefficient: an ``int``, or a ``Fraction`` that is not integral."""
-    if isinstance(v, int):
+    if type(v) is int:
         return v
     from fractions import Fraction
 
@@ -35,15 +37,24 @@ def _exact(v: Rational) -> Rational:
     raise TypeError(f"cyclotomic coefficients are int or Fraction, not {type(v).__name__}")
 
 
-@dataclass(frozen=True)
 class Cyclotomic:
-    """An element of Q(zeta_12), reduced mod x^4 - x^2 + 1."""
+    """An element of Q(zeta_12), reduced mod x^4 - x^2 + 1: ``coeffs`` is its 4-tuple of coefficients."""
 
-    coeffs: tuple[Rational, Rational, Rational, Rational]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Rational, Rational, Rational, Rational]) -> None:
+        if len(coeffs) != 4:
+            raise ValueError(f"a cyclotomic has 4 coefficients, not {len(coeffs)}")
+        object.__setattr__(self, "coeffs", tuple(map(_exact, coeffs)))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Cyclotomic is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def of(a: Rational, b: Rational = 0, c: Rational = 0, d: Rational = 0) -> "Cyclotomic":
-        return Cyclotomic((_exact(a), _exact(b), _exact(c), _exact(d)))
+        return Cyclotomic((a, b, c, d))
 
     @staticmethod
     def zeta_pow(k: int) -> "Cyclotomic":

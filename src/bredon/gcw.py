@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import chartab
@@ -30,38 +29,31 @@ class InvalidComplexError(ValueError):
         self.violations = list(violations)
 
 
-@dataclass(frozen=True)
-class CellOrbit:
-    """An orbit of cells of one dimension, with its stabilizer and generator label stem."""
+class CellOrbit(namedtuple("CellOrbit", "orbit_id dimension stabilizer label")):
+    """An orbit of cells of one dimension, with its stabilizer and generator
+    label stem (e.g. "alpha_0", "beta_1", "gamma")."""
 
-    orbit_id: str
-    dimension: int
-    stabilizer: str
-    label: str  # generator label stem, e.g. "alpha_0", "beta_1", "gamma"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BoundaryTerm:
-    """A signed boundary term from a source orbit to a target orbit along an embedding."""
+class BoundaryTerm(namedtuple("BoundaryTerm", "source target sign embedding")):
+    """A signed boundary term from a source orbit to a target orbit along an embedding id."""
 
-    source: str
-    target: str
-    sign: int
-    embedding: str
+    __slots__ = ()
 
 
-ChainLayout = namedtuple("ChainLayout", ("labels", "offsets", "terms", "violations"))
-ChainLayout.__doc__ = """Per degree d: generator names, each orbit's block offset and the valid terms out of C_d as
-(row offset, column offset, sign, embedding); then every violation, as human-readable strings."""
+class ChainLayout(namedtuple("ChainLayout", "labels offsets terms violations")):
+    """Per degree d: generator names, each orbit's block offset and the valid terms out of C_d as
+    (row offset, column offset, sign, embedding); then every violation, as human-readable strings."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EquivariantComplex:
-    """Cell orbits and boundary terms of a 2-dimensional equivariant complex."""
+class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits boundary")):
+    """Cell orbits and boundary terms of a 2-dimensional equivariant complex.
 
-    group_name: str
-    orbits: tuple[CellOrbit, ...]
-    boundary: tuple[BoundaryTerm, ...]
+    Unlike the other records it keeps a ``__dict__``, where ``layout`` is
+    cached; ``_replace`` returns a copy whose layout is not yet read."""
 
     def orbits_of_dimension(self, d: int) -> tuple[CellOrbit, ...]:
         return tuple(o for o in self.orbits if o.dimension == d)

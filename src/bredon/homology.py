@@ -16,8 +16,8 @@ Smith-normal-form cokernel in chain coordinates.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul
 
@@ -47,15 +47,10 @@ class EulerIdentityError(ArithmeticError):
         )
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(namedtuple("HomologyGroup", "degree free_rank torsion basis torsion_basis")):
     """H_degree = Z^free_rank + sum of Z/d over torsion, with generating chains."""
 
-    degree: int
-    free_rank: int
-    torsion: tuple[int, ...]
-    basis: tuple[Chain, ...]
-    torsion_basis: tuple[Chain, ...]
+    __slots__ = ()
 
     def iso_type(self) -> tuple[int, tuple[int, ...]]:
         return self.free_rank, self.torsion
@@ -70,17 +65,13 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class HomologyReport:
-    """The homology in degrees 0..2 of one complex, with its differentials and labels."""
+class HomologyReport(
+    namedtuple("HomologyReport", "group_name groups labels d1 d2 invariant_factors_d1 invariant_factors_d2")
+):
+    """The homology in degrees 0..2 of one complex: ``groups`` and ``labels`` by degree,
+    the differentials d1, d2 and their invariant factors."""
 
-    group_name: str
-    groups: tuple[HomologyGroup, HomologyGroup, HomologyGroup]  # degrees 0, 1, 2
-    labels: tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]
-    d1: IntegerMatrix
-    d2: IntegerMatrix
-    invariant_factors_d1: tuple[int, ...]
-    invariant_factors_d2: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def chain_ranks(self) -> tuple[int, int, int]:
@@ -154,12 +145,10 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
     return report
 
 
-@dataclass(frozen=True)
-class BasisVerdict:
+class BasisVerdict(namedtuple("BasisVerdict", "accepted detail")):
     """The verdict of ``verify_basis`` and its reason; true when accepted."""
 
-    accepted: bool
-    detail: str
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:

@@ -24,27 +24,43 @@ it expands any other matrix to list rows.  Both log the same operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 from itertools import chain, compress
 from collections.abc import Sequence
 
 
-@dataclass(frozen=True)
 class IntegerMatrix:
     """Immutable integer matrix; 0-row / 0-column shapes are legal.  Row i is stored as
     ``nonzeros[i]``, {column: value} of its nonzero entries, and no zero is stored, so
-    matrices are equal exactly when their entries are; dense reads are built on each call."""
+    matrices are equal exactly when their entries are; dense reads are built on each call.
+    A small class, not a tuple: a matrix has no ``+``, ``len`` or iteration."""
 
-    rows: int
-    cols: int
-    nonzeros: tuple[dict[int, int], ...]
+    __slots__ = ("rows", "cols", "nonzeros")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, nonzeros: tuple[dict[int, int], ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimension")
-        if len(self.nonzeros) != self.rows:
+        if len(nonzeros) != rows:
             raise ValueError("row count does not match shape")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nonzeros", nonzeros)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"IntegerMatrix is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not IntegerMatrix:
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.nonzeros == other.nonzeros
+
+    __hash__ = None  # rows are dicts
+
+    def __repr__(self) -> str:
+        return f"IntegerMatrix(rows={self.rows!r}, cols={self.cols!r}, nonzeros={self.nonzeros!r})"
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntegerMatrix":
@@ -115,24 +131,22 @@ class IntegerMatrix:
         return "\n".join(" ".join(map(str, line)) for line in self.to_rows()) or "(empty)"
 
 
-@dataclass(frozen=True)
 class SNFDecomposition:
     """D = P*A*Q with P, Q unimodular; D diagonal with a divisibility chain.
 
     ``kernel`` reads ker(A) off Q and ``cokernel`` coker(A) off P_inv, so
     one reduction of A answers both.  The reduction logs its row and column
     operations; each of P, P_inv, Q and Q_inv is built on first read by
-    replaying its log in reverse (see ``_replay``), so a caller pays only
-    for the transforms it reads; D is built from the invariant factors,
-    also on first read.  ``kernel``, ``cokernel`` and ``kernel_coordinates``
-    replay only the columns of Q and P_inv, or rows of Q_inv, that they
-    return, and are not cached.
+    replaying its log in reverse (see ``_replay``) and cached, so a caller
+    pays only for the transforms it reads; D is built from the invariant
+    factors, also on first read.  ``kernel``, ``cokernel`` and
+    ``kernel_coordinates`` replay only the columns of Q and P_inv, or rows
+    of Q_inv, that they return, and are not cached.
     """
 
-    matrix: IntegerMatrix
-    invariant_factors: tuple[int, ...]
-    row_ops: list[tuple[int, int, int]] = field(repr=False, compare=False)
-    col_ops: list[tuple[int, int, int]] = field(repr=False, compare=False)
+    def __init__(self, matrix: IntegerMatrix, invariant_factors: tuple[int, ...], row_ops: list, col_ops: list) -> None:
+        self.matrix, self.invariant_factors = matrix, invariant_factors
+        self.row_ops, self.col_ops = row_ops, col_ops
 
     @cached_property
     def D(self) -> IntegerMatrix:
@@ -181,8 +195,7 @@ class SNFDecomposition:
         )
 
 
-@dataclass(frozen=True)
-class CokernelPresentation:
+class CokernelPresentation(namedtuple("CokernelPresentation", "torsion free_rank torsion_generators free_generators")):
     """coker(A) = Z^free_rank x prod Z/d for the torsion chain d.
 
     Generator vectors live in the codomain Z^m: ``free_generators`` are the
@@ -190,10 +203,7 @@ class CokernelPresentation:
     the positions of invariant factors > 1.
     """
 
-    torsion: tuple[int, ...]
-    free_rank: int
-    torsion_generators: IntegerMatrix
-    free_generators: IntegerMatrix
+    __slots__ = ()
 
 
 class _DenseRows:
@@ -421,12 +431,8 @@ def _reduce(a: IntegerMatrix, w: _DenseRows | _SparseRows) -> SNFDecomposition:
         if w.d[t][t] < 0:
             w.row_negate(t)
         t += 1
-    return SNFDecomposition(
-        matrix=a,
-        invariant_factors=tuple(w.d[i][i] for i in range(t)),  # t is the rank; pivots are positive
-        row_ops=w.row_ops,
-        col_ops=w.col_ops,
-    )
+    # t is the rank; pivots are positive
+    return SNFDecomposition(a, tuple(w.d[i][i] for i in range(t)), w.row_ops, w.col_ops)
 
 
 def _clear_cross(w: _DenseRows | _SparseRows, t: int) -> None:

@@ -13,20 +13,16 @@ rotation orders) is left to be read off the cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .gcw import BoundaryTerm, CellOrbit, EquivariantComplex
 
 
-@dataclass(frozen=True)
-class GroupRecord:
-    """One wallpaper group's hand data, from ``_HAND``."""
+class GroupRecord(namedtuple("GroupRecord", "name point_group split has_glide_reflections")):
+    """One wallpaper group's hand data, from ``_HAND``; ``split`` is "yes", "no" or "n/a"."""
 
-    name: str
-    point_group: str
-    split: str  # "yes" | "no" | "n/a"
-    has_glide_reflections: bool
+    __slots__ = ()
 
 
 # Point group, split extension or not, glide reflections: what stabilizers cannot give.

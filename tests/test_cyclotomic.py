@@ -45,6 +45,49 @@ def test_rational_detection():
         I.as_rational()
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False, "1", None, 1j])
+def test_coefficients_are_int_or_fraction(bad):
+    # 0.5 used to build a float-valued element unequal to 0.5, and True a bool coefficient
+    with pytest.raises(TypeError, match="cyclotomic coefficients are int or Fraction"):
+        Cyclotomic((0, 0, 0, bad))
+    with pytest.raises(TypeError, match="cyclotomic coefficients are int or Fraction"):
+        Cyclotomic.of(bad)
+    with pytest.raises(TypeError, match="cyclotomic coefficients are int or Fraction"):
+        Cyclotomic.of(1, 0, bad)
+
+
+@pytest.mark.parametrize("coeffs", [(), (1,), (1, 0, 0), (1, 0, 0, 0, 0)])
+def test_exactly_four_coefficients(coeffs):
+    with pytest.raises(ValueError, match=f"4 coefficients, not {len(coeffs)}"):
+        Cyclotomic(coeffs)
+
+
+def test_a_fraction_coefficient_is_kept_only_when_not_integral():
+    x = Cyclotomic((Fraction(1, 2), 0, Fraction(3), -1))
+    assert x.coeffs == (Fraction(1, 2), 0, 3, -1) and type(x.coeffs[2]) is int
+    assert (x + x).coeffs == (1, 0, 6, -2) and set(map(type, (x + x).coeffs)) == {int}
+
+
+def test_fields_cannot_be_assigned():
+    x = Cyclotomic.of(1, 2)
+    for name in ("coeffs", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, (0, 0, 0, 0))
+    with pytest.raises(AttributeError):
+        del x.coeffs
+    assert x.coeffs == (1, 2, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [lambda a, b: a < b, lambda a, b: a <= b, lambda a, b: a > b, lambda a, b: a >= b, lambda a, b: len(a)],
+    ids=["lt", "le", "gt", "ge", "len"],
+)
+def test_a_cyclotomic_has_no_order_or_length(op):
+    with pytest.raises(TypeError):
+        op(Cyclotomic.of(1), Cyclotomic.of(2))
+
+
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 cyclotomics = st.builds(
     lambda a, b, c, d: Cyclotomic.of(a, b, c, d), rationals, rationals, rationals, rationals

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -121,10 +120,10 @@ def test_differentials_raises_the_violations_validate_lists():
     base = cx("pmm")
     terms = list(base.boundary)
     idx = next(i for i, t in enumerate(terms) if t.source == "e2")
-    terms[idx] = dataclasses.replace(terms[idx], sign=-terms[idx].sign)
+    terms[idx] = terms[idx]._replace(sign=-terms[idx].sign)
     orbit = CellOrbit("e2", 2, "C1", "gamma")
     for broken in (
-        dataclasses.replace(base, boundary=tuple(terms)),
+        base._replace(boundary=tuple(terms)),
         EquivariantComplex("broken", (orbit, orbit), ()),
         EquivariantComplex("broken", (orbit,), (BoundaryTerm("e2", "nowhere", 1, "C1->C1"),)),
     ):
@@ -137,8 +136,8 @@ def test_wrong_embedding_subgroup_is_a_violation():
     base = cx("p2")
     terms = list(base.boundary)
     idx = next(i for i, t in enumerate(terms) if t.source == "e1^0" and t.target == "e0^1")
-    terms[idx] = dataclasses.replace(terms[idx], embedding="C2->C2")
-    mutated = dataclasses.replace(base, boundary=tuple(terms))
+    terms[idx] = terms[idx]._replace(embedding="C2->C2")
+    mutated = base._replace(boundary=tuple(terms))
     violations = validate(mutated)
     assert len(violations) == 1
     assert "C2->C2" in violations[0] and "sub" in violations[0]
@@ -148,8 +147,8 @@ def test_flipped_sign_breaks_composition():
     base = cx("pmm")
     terms = list(base.boundary)
     idx = next(i for i, t in enumerate(terms) if t.source == "e2")
-    terms[idx] = dataclasses.replace(terms[idx], sign=-terms[idx].sign)
-    mutated = dataclasses.replace(base, boundary=tuple(terms))
+    terms[idx] = terms[idx]._replace(sign=-terms[idx].sign)
+    mutated = base._replace(boundary=tuple(terms))
     assert validate(mutated) == ["differentials do not compose to zero"]
 
 
@@ -181,8 +180,8 @@ def test_missing_orbit_reference_detected():
 def test_non_int_dimension_is_out_of_range(value):
     # a complex built in code: 2.0 used to end in a TypeError, True in a silent 1
     base = cx("p2")
-    orbits = [dataclasses.replace(o, dimension=value) if o.orbit_id == "e2" else o for o in base.orbits]
-    mutated = dataclasses.replace(base, orbits=tuple(orbits))
+    orbits = [o._replace(dimension=value) if o.orbit_id == "e2" else o for o in base.orbits]
+    mutated = base._replace(orbits=tuple(orbits))
     assert validate(mutated) == [f"orbit e2: dimension {value} out of range"]
     with pytest.raises(InvalidComplexError):
         differentials(mutated)
@@ -192,8 +191,8 @@ def test_non_int_dimension_is_out_of_range(value):
 @pytest.mark.parametrize("value", [1.0, -1.0, True, 2])
 def test_non_int_sign_is_a_violation(value):
     base = cx("pmm")
-    terms = [dataclasses.replace(t, sign=value) if t.source == "e2" else t for t in base.boundary]
-    mutated = dataclasses.replace(base, boundary=tuple(terms))
+    terms = [t._replace(sign=value) if t.source == "e2" else t for t in base.boundary]
+    mutated = base._replace(boundary=tuple(terms))
     assert validate(mutated) == [f"boundary term e2->{t.target}: sign must be +1 or -1" for t in terms if t.source == "e2"]
     with pytest.raises(InvalidComplexError):
         differentials(mutated)
@@ -204,10 +203,10 @@ V, E, F = CellOrbit("v", 0, "C1", "alpha"), CellOrbit("e", 1, "C1", "beta"), Cel
 #: One small complex per violation message, with the exact list ``validate`` returns.
 VIOLATIONS = {
     "duplicate id": ((F, F), (), ["duplicate orbit id 'f'"]),
-    "dimension": ((dataclasses.replace(F, dimension=3),), (), ["orbit f: dimension 3 out of range"]),
-    "stabilizer": ((dataclasses.replace(F, stabilizer="C7"),), (), ["orbit f: unknown stabilizer 'C7'"]),
+    "dimension": ((F._replace(dimension=3),), (), ["orbit f: dimension 3 out of range"]),
+    "stabilizer": ((F._replace(stabilizer="C7"),), (), ["orbit f: unknown stabilizer 'C7'"]),
     "two-cells": ((V,), (), ["expected exactly one orbit of 2-cells, found 0"]),
-    "labels": ((dataclasses.replace(V, label="gamma"), F), (), ["generator labels are not unique"]),
+    "labels": ((V._replace(label="gamma"), F), (), ["generator labels are not unique"]),
     "missing": ((F,), (BoundaryTerm("f", "nowhere", 1, "C1->C1"),), ["boundary term f->nowhere: references a missing orbit"]),
     "consecutive": (
         (V, F),
@@ -217,7 +216,7 @@ VIOLATIONS = {
     "sign": ((E, F), (BoundaryTerm("f", "e", 2, "C1->C1"),), ["boundary term f->e: sign must be +1 or -1"]),
     "embedding": ((E, F), (BoundaryTerm("f", "e", 1, "C1->C5"),), ["boundary term f->e: unknown embedding 'C1->C5'"]),
     "sub": (
-        (dataclasses.replace(E, stabilizer="C2"), F),
+        (E._replace(stabilizer="C2"), F),
         (BoundaryTerm("f", "e", 1, "C2->C2"),),
         ["boundary term f->e: embedding C2->C2 has sub C2, stabilizer is C1"],
     ),
@@ -240,8 +239,8 @@ def test_each_violation_message(orbits, boundary, expected):
 
 
 def _replace_terms(base, source, **changes):
-    terms = [dataclasses.replace(t, **changes) if t.source == source else t for t in base.boundary]
-    return dataclasses.replace(base, boundary=tuple(terms))
+    terms = [t._replace(**changes) if t.source == source else t for t in base.boundary]
+    return base._replace(boundary=tuple(terms))
 
 
 @pytest.mark.parametrize(
@@ -266,7 +265,7 @@ def test_second_differentials_reads_no_embedding(monkeypatch):
     looked_up = []
     get_embedding = chartab.get_embedding
     monkeypatch.setattr(chartab, "get_embedding", lambda emb_id: looked_up.append(emb_id) or get_embedding(emb_id))
-    complex = dataclasses.replace(cx("pmm"))  # a fresh, unread layout looks up each term's embedding once
+    complex = cx("pmm")._replace()  # a fresh, unread layout looks up each term's embedding once
     first = differentials(complex)
     assert len(looked_up) == len(complex.boundary) == 12
     assert differentials(complex) == first

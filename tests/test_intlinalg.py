@@ -95,6 +95,40 @@ def test_take_columns_rejects_an_index_outside_the_matrix(indices):
     assert a.take_columns(range(2)) == a and a.take_columns(range(0)) == IntegerMatrix(2, 0, ({}, {}))
 
 
+def test_shape_is_checked_on_construction():
+    with pytest.raises(ValueError, match="negative matrix dimension"):
+        IntegerMatrix(-1, 0, ())
+    with pytest.raises(ValueError, match="negative matrix dimension"):
+        IntegerMatrix(0, -1, ())
+    with pytest.raises(ValueError, match="row count does not match shape"):
+        IntegerMatrix(2, 1, ({},))
+
+
+def test_fields_cannot_be_assigned():
+    a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
+    for name in ("rows", "cols", "nonzeros", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+    with pytest.raises(AttributeError):
+        del a.rows
+    assert (a.rows, a.cols, a.to_rows()) == (2, 2, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "op", [lambda a: a + a, lambda a: a * 2, lambda a: 2 * a, len, iter], ids=["add", "mul", "rmul", "len", "iter"]
+)
+def test_a_matrix_has_no_tuple_behaviour(op):
+    with pytest.raises(TypeError):
+        op(IntegerMatrix.from_rows([[1, 2], [3, 4]]))
+
+
+def test_equality_compares_shape_and_entries():
+    a = IntegerMatrix.from_rows([[1, 0], [0, 2]])
+    assert a == IntegerMatrix(2, 2, ({0: 1}, {1: 2})) and a != a.transpose().take_columns([1, 0])
+    assert IntegerMatrix(0, 2, ()) != IntegerMatrix(0, 3, ()) and a != (2, 2, a.nonzeros)
+    assert repr(IntegerMatrix(1, 2, ({1: 5},))) == "IntegerMatrix(rows=1, cols=2, nonzeros=({1: 5},))"
+
+
 def test_one_by_one():
     assert smith_normal_form(IntegerMatrix.from_rows([[2]])).invariant_factors == (2,)
     assert smith_normal_form(IntegerMatrix.from_rows([[-5]])).invariant_factors == (5,)

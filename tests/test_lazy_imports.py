@@ -30,8 +30,8 @@ def test_import_bredon_loads_no_submodule():
 @pytest.mark.parametrize(
     "argv, code, unused",
     [
-        (["compute", "--all", "--format", "json"], "0", {"fractions", "typing"}),
-        (["verify"], "1", {"fractions", "json", "typing"}),  # 1: the known cm basis mismatch
+        (["compute", "--all", "--format", "json"], "0", {"dataclasses", "fractions", "inspect", "typing"}),
+        (["verify"], "1", {"dataclasses", "fractions", "inspect", "json", "typing"}),  # 1: the known cm basis mismatch
     ],
 )
 def test_command_loads_only_what_it_uses(argv, code, unused):
@@ -40,7 +40,7 @@ def test_command_loads_only_what_it_uses(argv, code, unused):
         "from bredon.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, *[m for m in ('fractions', 'json', 'typing') if m in sys.modules])\n"
+        "print(code, *[m for m in ('dataclasses', 'fractions', 'inspect', 'json', 'typing') if m in sys.modules])\n"
     )
     got = _fresh(probe, *argv)
     assert got[0] == code

@@ -14,7 +14,6 @@ algorithm it replaced, rebuilt here from ``kernel_basis``,
 ``solve_integer`` and ``cokernel`` of the tests' ``snf_helpers``.
 """
 
-import dataclasses
 import io
 import random
 import sys
@@ -132,7 +131,7 @@ def test_compute_homology_derives_the_layout_once(monkeypatch, name):
         return build_table(group_id)
 
     monkeypatch.setattr(chartab, "build_table", counting_build_table)
-    complex = dataclasses.replace(wallpaper.get_group(name)[0])  # a fresh, unread layout
+    complex = wallpaper.get_group(name)[0]._replace()  # a fresh, unread layout
     compute_homology(complex)
     assert calls["bredon.gcw"] == len(complex.orbits)
     compute_homology(complex)

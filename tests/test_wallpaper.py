@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bredon import chartab, gcw, wallpaper
+from bredon import chartab, gcw, homology, wallpaper
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -177,3 +177,20 @@ def test_cells_match_the_conway_orbifold_symbol(name):
     assert has_reflections == ("*" in symbol)
     primes = {p for p in (2, 3) if any(n % p == 0 for n in digits)}
     assert torsion_primes == primes | ({2} if "*" in symbol else set())
+
+
+@pytest.mark.parametrize(
+    "name, ranks", [("p1", (2, 2)), ("p2", (6, 0)), ("p3", (8, 0)), ("p4", (9, 0)), ("p6", (10, 0))]
+)
+def test_orientable_groups_match_the_orbifold_closed_form(name, ranks):
+    """Lück–Stamm: an orientable orbifold of genus g with cone points of orders
+    m_i gives K_0 = Z^(2 + sum(m_i - 1)) and K_1 = Z^(2g), both torsion-free, and
+    in dimension 2 K_0 = H_0 + H_2 and K_1 = H_1.  The expected ranks are read
+    from the Conway symbol alone: no cell, character or matrix."""
+    symbol = CONWAY[name]
+    assert "*" not in symbol and "×" not in symbol  # orientable, no boundary
+    genus, cones = symbol.count("o"), _digits(symbol)
+    assert (2 + sum(m - 1 for m in cones), 2 * genus) == ranks
+    h0, h1, h2 = homology.compute_homology(wallpaper.get_group(name)[0]).groups
+    assert (h0.free_rank + h2.free_rank, h1.free_rank) == ranks
+    assert h0.torsion == h1.torsion == h2.torsion == ()
