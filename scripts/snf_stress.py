@@ -80,7 +80,7 @@ def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
     torsion_positions = [i for i, d in enumerate(factors) if d > 1]
     if (
         kernel != snf.Q.take_columns(range(k, n))
-        or snf.kernel_coordinates() != IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
+        or snf.kernel_with_coordinates() != (kernel, IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:]))
         or cok.torsion_generators != snf.P_inv.take_columns(torsion_positions)
         or cok.free_generators != snf.P_inv.take_columns(range(k, m))
     ):

@@ -7,8 +7,10 @@ degree-d chain group is the direct sum of the representation rings of the
 d-cell stabilizers; the differential assembles blockwise from signed
 induction matrices.  Generator labels follow the alpha/beta/gamma naming
 of the cell dimension, with the irreducible index as superscript.  A complex
-is checked once, in the pass that derives its chain layout; assembly reads
-only the terms that pass kept, and refuses a complex with any violation.
+is checked and its differentials assembled once, in the pass that derives
+its chain layout; ``assemble_differential``, ``differentials`` and
+``validate`` only read that layout, and the first two refuse a complex with
+any violation.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ class BoundaryTerm(namedtuple("BoundaryTerm", "source target sign embedding")):
     __slots__ = ()
 
 
-class ChainLayout(namedtuple("ChainLayout", "labels offsets terms violations")):
-    """Per degree d: generator names, each orbit's block offset and the valid terms out of C_d as
-    (row offset, column offset, sign, embedding); then every violation, as human-readable strings."""
+class ChainLayout(namedtuple("ChainLayout", "labels offsets differentials violations")):
+    """Per degree d: generator names and each orbit's block offset; then (d1, d2), assembled
+    from the valid terms and ``None`` when an orbit violation ends the pass before them; then
+    every violation, as human-readable strings."""
 
     __slots__ = ()
 
@@ -52,26 +55,29 @@ class ChainLayout(namedtuple("ChainLayout", "labels offsets terms violations")):
 class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits boundary")):
     """Cell orbits and boundary terms of a 2-dimensional equivariant complex.
 
-    Unlike the other records it keeps a ``__dict__``, where ``layout`` is
-    cached; ``_replace`` returns a copy whose layout is not yet read."""
+    Unlike the other records it keeps a ``__dict__``, where ``layout``, with
+    the differentials, is cached; ``_replace`` returns a copy whose layout is
+    not yet read."""
 
     def orbits_of_dimension(self, d: int) -> tuple[CellOrbit, ...]:
         return tuple(o for o in self.orbits if o.dimension == d)
 
     @cached_property
     def layout(self) -> ChainLayout:
-        """The chain layout and every check of the complex, in one pass on first read.
+        """The chain layout, the differentials and every check of the complex, in one pass on first read.
 
         Generators come in orbit order, then irreducible order; a stabilizer
         with one irreducible gives the bare label stem, else ^k is appended
         (1-based).  An orbit whose dimension is not an ``int`` in 0..2, or
         whose stabilizer is unknown, belongs to no chain group; any orbit
-        violation ends the pass before the terms are checked.  Only d1·d2 = 0
-        is left to ``differentials``.
+        violation ends the pass before the terms are checked.  Each valid term
+        adds sign times the nonzeros of its embedding's induction matrix to the
+        rows of its block; terms that cancel (same orbit pair and embedding,
+        opposite signs) leave no entry.  Where no other check fails, the last
+        is d1·d2 = 0.
         """
         labels: tuple[list[str], ...] = ([], [], [])
         offsets: tuple[dict[str, int], ...] = ({}, {}, {})
-        terms: tuple[list[tuple], ...] = ([], [], [])
         violations: list[str] = []
         orbits: dict[str, CellOrbit] = {}
         for orbit in self.orbits:
@@ -87,15 +93,17 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
                 rank = chartab.build_table(orbit.stabilizer).rank
                 offsets[d][orbit.orbit_id] = len(labels[d])
                 labels[d].extend([orbit.label] if rank == 1 else [f"{orbit.label}^{k}" for k in range(1, rank + 1)])
-        layout = ChainLayout(tuple(map(tuple, labels)), offsets, terms, violations)  # terms and violations fill in below
+        labels = tuple(map(tuple, labels))
         if violations:
-            return layout
+            return ChainLayout(labels, offsets, None, violations)
 
         # Orbit ids are unique and every stabilizer is known from here on.
         if len(offsets[2]) != 1:
             violations.append(f"expected exactly one orbit of 2-cells, found {len(offsets[2])}")
         if len(set(names := [name for degree in labels for name in degree])) != len(names):
             violations.append("generator labels are not unique")
+        # data[d]: the rows of d_d, one per generator of C_{d-1}
+        data: tuple[list[dict[int, int]], ...] = ([], [{} for _ in labels[0]], [{} for _ in labels[1]])
         for term in self.boundary:
             where = f"boundary term {term.source}->{term.target}"
             if (src := orbits.get(term.source)) is None or (tgt := orbits.get(term.target)) is None:
@@ -117,9 +125,19 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
             if emb.sup != tgt.stabilizer:
                 violations.append(f"{where}: embedding {term.embedding} has sup {emb.sup}, stabilizer is {tgt.stabilizer}")
             if len(violations) == found:
-                d = src.dimension
-                terms[d].append((offsets[d - 1][term.target], offsets[d][term.source], term.sign, emb))
-        return layout
+                d, sign = src.dimension, term.sign
+                rows, c0 = data[d], offsets[d][term.source]
+                for i, row in enumerate(chartab.induction_matrix(emb).nonzeros, offsets[d - 1][term.target]):
+                    target = rows[i]
+                    for j, v in row.items():
+                        if x := target.get(c0 + j, 0) + sign * v:
+                            target[c0 + j] = x
+                        else:
+                            del target[c0 + j]
+        d1, d2 = (IntegerMatrix(len(labels[d - 1]), len(labels[d]), tuple(data[d])) for d in (1, 2))
+        if not violations and not (d1 @ d2).is_zero():
+            violations.append("differentials do not compose to zero")
+        return ChainLayout(labels, offsets, (d1, d2), violations)
 
 
 def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[str]]:
@@ -130,46 +148,25 @@ def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[str]]:
 
 
 def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
-    """The block matrix of the boundary map C_d -> C_{d-1}, read off the layout's valid terms.
+    """The block matrix of the boundary map C_d -> C_{d-1}, as the layout assembled it.
 
-    ``InvalidComplexError`` lists the layout's violations, if any.  Each term
-    adds sign times the nonzeros of its embedding's induction matrix to the
-    rows of its block; terms that cancel (same orbit pair and embedding,
-    opposite signs) leave no entry.
+    ``InvalidComplexError`` lists the layout's violations, if any.
     """
     if d not in (1, 2):
         raise ValueError("differential degree must be 1 or 2")
-    layout = complex.layout
-    if layout.violations:
-        raise InvalidComplexError(layout.violations)
-    data: list[dict[int, int]] = [{} for _ in layout.labels[d - 1]]
-    for r0, c0, sign, emb in layout.terms[d]:
-        for i, row in enumerate(chartab.induction_matrix(emb).nonzeros):
-            target = data[r0 + i]
-            for j, v in row.items():
-                if x := target.get(c0 + j, 0) + sign * v:
-                    target[c0 + j] = x
-                else:
-                    del target[c0 + j]
-    return IntegerMatrix(len(data), len(layout.labels[d]), tuple(data))
+    return differentials(complex)[d - 1]
 
 
 def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMatrix]:
-    """(d1, d2), each assembled once; ``InvalidComplexError`` lists the violations."""
-    d1 = assemble_differential(complex, 1)
-    d2 = assemble_differential(complex, 2)
-    if not (d1 @ d2).is_zero():
-        raise InvalidComplexError(["differentials do not compose to zero"])
-    return d1, d2
+    """(d1, d2), as the layout assembled them; ``InvalidComplexError`` lists the violations."""
+    if (layout := complex.layout).violations:
+        raise InvalidComplexError(layout.violations)
+    return layout.differentials
 
 
 def validate(complex: EquivariantComplex) -> list[str]:
-    """All structural violations, as human-readable strings; empty when valid."""
-    try:
-        differentials(complex)
-    except InvalidComplexError as exc:
-        return exc.violations
-    return []
+    """All structural violations of the layout, as human-readable strings; empty when valid."""
+    return list(complex.layout.violations)
 
 
 # ---------------------------------------------------------------------------

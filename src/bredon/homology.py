@@ -121,8 +121,8 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
 
     # Degree 1: cokernel of im d2 in the coordinates of the kernel basis
     # k1 = Q1[:, k:], which are Q1^-1[k:, :] @ d2; generators return via k1.
-    k1 = snf1.kernel()
-    cok1 = smith_normal_form(snf1.kernel_coordinates() @ d2).cokernel()
+    k1, coordinates = snf1.kernel_with_coordinates()
+    cok1 = smith_normal_form(coordinates @ d2).cokernel()
     h1 = HomologyGroup(
         degree=1,
         free_rank=cok1.free_rank,

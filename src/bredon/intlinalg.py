@@ -140,8 +140,8 @@ class SNFDecomposition:
     replaying its log in reverse (see ``_replay``) and cached, so a caller
     pays only for the transforms it reads; D is built from the invariant
     factors, also on first read.  ``kernel``, ``cokernel`` and
-    ``kernel_coordinates`` replay only the columns of Q and P_inv, or rows
-    of Q_inv, that they return, and are not cached.
+    ``kernel_with_coordinates`` replay only the columns of Q and P_inv, or
+    rows of Q_inv, that they return, and are not cached.
     """
 
     def __init__(self, matrix: IntegerMatrix, invariant_factors: tuple[int, ...], row_ops: list, col_ops: list) -> None:
@@ -155,19 +155,19 @@ class SNFDecomposition:
 
     @cached_property
     def P(self) -> IntegerMatrix:
-        return _replay(self.row_ops, self.matrix.rows, inverse=False, transposed=True)
+        return _replay(self.row_ops, self.matrix.rows, (False, True))[0]
 
     @cached_property
     def P_inv(self) -> IntegerMatrix:
-        return _replay(self.row_ops, self.matrix.rows, inverse=True, transposed=False)
+        return _replay(self.row_ops, self.matrix.rows, (True, False))[0]
 
     @cached_property
     def Q(self) -> IntegerMatrix:
-        return _replay(self.col_ops, self.matrix.cols, inverse=False, transposed=False)
+        return _replay(self.col_ops, self.matrix.cols, (False, False))[0]
 
     @cached_property
     def Q_inv(self) -> IntegerMatrix:
-        return _replay(self.col_ops, self.matrix.cols, inverse=True, transposed=True)
+        return _replay(self.col_ops, self.matrix.cols, (True, True))[0]
 
     @property
     def rank(self) -> int:
@@ -175,18 +175,18 @@ class SNFDecomposition:
 
     def kernel(self) -> IntegerMatrix:
         """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
-        return _replay(self.col_ops, self.matrix.cols, inverse=False, transposed=False, first=self.rank)
+        return _replay(self.col_ops, self.matrix.cols, (False, False), first=self.rank)[0]
 
-    def kernel_coordinates(self) -> IntegerMatrix:
-        """The last n-k rows of Q_inv: they send a vector of ker(A) to its
-        coordinates in the ``kernel`` basis."""
-        return _replay(self.col_ops, self.matrix.cols, inverse=True, transposed=True, first=self.rank)
+    def kernel_with_coordinates(self) -> tuple[IntegerMatrix, IntegerMatrix]:
+        """``kernel`` and the last n-k rows of Q_inv, which send a vector of
+        ker(A) to its coordinates in that basis, from one walk of the log."""
+        return tuple(_replay(self.col_ops, self.matrix.cols, (False, False), (True, True), first=self.rank))
 
     def cokernel(self) -> "CokernelPresentation":
         # The factors > 1 end the divisibility chain, so they are the last t before the rank.
         torsion = tuple(d for d in self.invariant_factors if d > 1)
         t, m = len(torsion), self.matrix.rows
-        generators = _replay(self.row_ops, m, inverse=True, transposed=False, first=self.rank - t)
+        (generators,) = _replay(self.row_ops, m, (True, False), first=self.rank - t)
         return CokernelPresentation(
             torsion=torsion,
             free_rank=m - self.rank,
@@ -366,10 +366,11 @@ class _SparseRows:
 
 
 def _replay(
-    log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool, first: int = 0
-) -> IntegerMatrix:
+    log: list[tuple[int, int, int]], size: int, *kinds: tuple[bool, bool], first: int = 0
+) -> list[IntegerMatrix]:
     """Replay ``log`` in reverse, each operation transposed, as row operations
-    on columns ``first`` onward of the size x size identity.
+    on columns ``first`` onward of the size x size identity, once for each
+    (inverse, transposed) kind, all in one walk of the log.
 
     That builds the transpose of the product the log applies: an add
     line_i += k * line_j is replayed as row_j += k * row_i (swaps and
@@ -383,23 +384,24 @@ def _replay(
     deletes each entry it cancels, on dense and sparse logs alike.
     """
     width = size - first
-    rows: list[dict[int, int]] = [{} for _ in range(first)] + [{c: 1} for c in range(width)]
+    built = [([{} for _ in range(first)] + [{c: 1} for c in range(width)], *kind) for kind in kinds]
     for i, j, k in reversed(log):
         if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
-            i, j, k = (i, j, -k) if inverse else (j, i, k)
-        if not k:
-            rows[i], rows[j] = rows[j], rows[i]
-        elif i == j:
-            rows[i] = {c: -v for c, v in rows[i].items()}
+            for rows, inverse, _ in built:
+                target, source, x = (rows[i], rows[j], -k) if inverse else (rows[j], rows[i], k)
+                for c, v in source.items():
+                    if y := target.get(c, 0) + x * v:
+                        target[c] = y
+                    else:
+                        del target[c]
+        elif k:
+            for rows, _, _ in built:
+                rows[i] = {c: -v for c, v in rows[i].items()}
         else:
-            target = rows[i]
-            for c, v in rows[j].items():
-                if x := target.get(c, 0) + k * v:
-                    target[c] = x
-                else:
-                    del target[c]
-    result = IntegerMatrix(size, width, tuple(rows))
-    return result.transpose() if transposed else result
+            for rows, _, _ in built:
+                rows[i], rows[j] = rows[j], rows[i]
+    matrices = [(IntegerMatrix(size, width, tuple(rows)), transposed) for rows, _, transposed in built]
+    return [m.transpose() if transposed else m for m, transposed in matrices]
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:

@@ -13,8 +13,9 @@ ALL_GROUPS = wallpaper.list_groups()
 
 
 def _full_pass() -> None:
+    # fresh complexes: a built-in's cached layout already holds its differentials
     for name in ALL_GROUPS:
-        compute_homology(wallpaper.get_group(name)[0])
+        compute_homology(wallpaper.get_group(name)[0]._replace())
 
 
 def test_full_pass_misses_once_per_distinct_embedding():

@@ -250,8 +250,9 @@ def _replace_terms(base, source, **changes):
         _replace_terms(cx("pmm"), "e2", sign=3),
         _replace_terms(cx("pmm"), "e2", target="nowhere"),
         _replace_terms(cx("pmm"), "e1^1", embedding="C2->C5"),
+        EquivariantComplex("broken", *VIOLATIONS["composition"][:2]),
     ],
-    ids=["float-sign", "scaling-sign", "missing-target", "unknown-embedding"],
+    ids=["float-sign", "scaling-sign", "missing-target", "unknown-embedding", "composition"],
 )
 @pytest.mark.parametrize("d", (1, 2))
 def test_assembly_refuses_what_validate_rejects(mutated, d):

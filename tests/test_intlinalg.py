@@ -21,6 +21,9 @@ from snf_helpers import (
     zeros,
 )
 
+#: Every (inverse, transposed) kind of ``intlinalg._replay``.
+KINDS = ((False, False), (False, True), (True, False), (True, True))
+
 
 def cofactor_det(m: IntegerMatrix) -> int:
     n = m.rows
@@ -334,13 +337,12 @@ def storage_matrices(draw, max_dim=40):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(sparse_matrices(), matrices(max_dim=12, bound=99), storage_matrices()))
 def test_replay_matches_the_dense_reference(a):
-    # the reverse replay builds the transpose of the forward one
+    # the reverse replay builds the transpose of the forward one, for each kind alone and all in one walk
     snf = smith_normal_form(a)
     for log, size in ((snf.row_ops, a.rows), (snf.col_ops, a.cols)):
-        for inverse in (False, True):
-            for transposed in (False, True):
-                got = intlinalg._replay(log, size, inverse, transposed)
-                assert got == dense_replay(log, size, inverse, not transposed)
+        expected = [dense_replay(log, size, inverse, not transposed) for inverse, transposed in KINDS]
+        assert [intlinalg._replay(log, size, kind)[0] for kind in KINDS] == expected
+        assert intlinalg._replay(log, size, *KINDS) == expected
 
 
 @st.composite
@@ -363,24 +365,26 @@ def shaped_matrices(draw, max_dim=8):
 def test_restricted_replays_are_slices_of_the_full_transforms(a):
     snf = smith_normal_form(a)
     m, n, k = a.rows, a.cols, snf.rank
-    assert snf.kernel() == snf.Q.take_columns(range(k, n))
-    assert snf.kernel_coordinates() == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
+    kernel, coordinates = snf.kernel_with_coordinates()  # one walk of the column log
+    assert kernel == snf.kernel() == snf.Q.take_columns(range(k, n))
+    assert coordinates == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
     cok = snf.cokernel()
     torsion_positions = [i for i, d in enumerate(snf.invariant_factors) if d > 1]
     assert cok.torsion == tuple(snf.invariant_factors[i] for i in torsion_positions)
     assert cok.torsion_generators == snf.P_inv.take_columns(torsion_positions)
     assert cok.free_generators == snf.P_inv.take_columns(range(k, m))
-    # every first column, for all four transforms: columns of the untransposed product
+    # every first column, for all four transforms, each alone and all in one walk: columns of
+    # the untransposed product
     for log, size in ((snf.row_ops, m), (snf.col_ops, n)):
-        for inverse in (False, True):
-            for transposed in (False, True):
-                full = intlinalg._replay(log, size, inverse, transposed)
-                for first in range(size + 1):
-                    part = intlinalg._replay(log, size, inverse, transposed, first)
-                    if transposed:
-                        assert part == IntegerMatrix(size - first, size, full.nonzeros[first:])
-                    else:
-                        assert part == full.take_columns(range(first, size))
+        full = intlinalg._replay(log, size, *KINDS)
+        for first in range(size + 1):
+            together = intlinalg._replay(log, size, *KINDS, first=first)
+            for kind, whole, part in zip(KINDS, full, together):
+                assert intlinalg._replay(log, size, kind, first=first) == [part]
+                if kind[1]:  # transposed: rows, not columns, from first on
+                    assert part == IntegerMatrix(size - first, size, whole.nonzeros[first:])
+                else:
+                    assert part == whole.take_columns(range(first, size))
 
 
 def assert_logs_match_the_reference(a: IntegerMatrix) -> None:
@@ -491,10 +495,8 @@ def test_no_constructor_stores_a_zero(shaped, data):
 
     snf = smith_normal_form(a)
     for log, size in ((snf.row_ops, a.rows), (snf.col_ops, a.cols)):
-        for inverse in (False, True):
-            for transposed in (False, True):
-                for first in range(size + 1):
-                    assert stores_only_nonzeros(intlinalg._replay(log, size, inverse, transposed, first))
+        for first in range(size + 1):
+            assert all(map(stores_only_nonzeros, intlinalg._replay(log, size, *KINDS, first=first)))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,14 +1,16 @@
-"""The engine reduces each differential once, assembles it once and
-derives each complex's chain layout once.
+"""The engine reduces each differential once per computation, and
+assembles it once in the lifetime of its complex, in the one pass that
+derives the complex's chain layout.
 
 Counts are taken by patching ``intlinalg._reduce`` (one call per Smith
-normal form, on either row storage), every binding of
-``gcw.assemble_differential`` and ``chartab.build_table`` (the lookups
-made from ``gcw``); the transforms
+normal form, on either row storage), ``gcw.IntegerMatrix`` (the layout
+pass builds one per differential it assembles), and ``chartab.induction_matrix``
+and ``chartab.build_table`` (the lookups made from ``gcw``); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
-counted by patching ``intlinalg._replay``, keyed by the transform and the
-first column it keeps.  ``compute_homology`` replays only the columns it
-reads, ``bredon snf`` the full P and Q, and ``verify_basis`` none.  The
+counted by patching ``intlinalg._replay``, keyed by the transforms one walk
+of a log builds and the first column they keep.  ``compute_homology``
+replays only the columns it reads, ``bredon snf`` the full P and Q, and
+``verify_basis`` none.  The
 verdicts of ``verify_basis`` are checked against the kernel-coordinate
 algorithm it replaced, rebuilt here from ``kernel_basis``,
 ``solve_integer`` and ``cokernel`` of the tests' ``snf_helpers``.
@@ -19,12 +21,14 @@ import random
 import sys
 from collections import Counter
 from contextlib import redirect_stdout
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bredon import chartab, cli, gcw, intlinalg, wallpaper
+from bredon.gcw import validate
 from bredon.homology import chain_vector, compute_homology, verify_basis
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
 from snf_helpers import cokernel, col, hstack, identity, kernel_basis, solve_integer
@@ -34,6 +38,7 @@ ALL_GROUPS = wallpaper.list_groups()
 
 @pytest.fixture
 def tally(monkeypatch):
+    """Counts SNFs, differentials assembled ("assemble") and induction matrices looked up by ``gcw``."""
     counts = Counter()
     reduce = intlinalg._reduce
 
@@ -41,17 +46,31 @@ def tally(monkeypatch):
         counts["snf"] += 1
         return reduce(a, storage)
 
-    monkeypatch.setattr(intlinalg, "_reduce", counting_reduce)
-    assemble = gcw.assemble_differential
-
-    def counting_assemble(*args):
+    def counting_matrix(*args):
         counts["assemble"] += 1
-        return assemble(*args)
+        return IntegerMatrix(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bredon" and getattr(module, "assemble_differential", None) is assemble:
-            monkeypatch.setattr(module, "assemble_differential", counting_assemble)
+    induction_matrix = chartab.induction_matrix
+
+    def counting_induction(emb):
+        if sys._getframe(1).f_globals["__name__"] == "bredon.gcw":  # not the cli's table checks
+            counts["induction"] += 1
+        return induction_matrix(emb)
+
+    monkeypatch.setattr(intlinalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(gcw, "IntegerMatrix", counting_matrix)
+    monkeypatch.setattr(chartab, "induction_matrix", counting_induction)
     return counts
+
+
+@pytest.fixture
+def fresh_builtins(monkeypatch):
+    """``wallpaper.get_group`` with a cache of its own: each built-in complex is built anew, its layout unread."""
+    monkeypatch.setattr(wallpaper, "get_group", lru_cache(wallpaper.get_group.__wrapped__))
+
+
+def terms(*names: str) -> int:
+    return sum(len(wallpaper.get_group(name)[0].boundary) for name in names)
 
 
 #: The transform each (inverse, transposed) replay of ``intlinalg._replay`` builds.
@@ -60,13 +79,13 @@ TRANSFORMS = {(False, True): "P", (True, False): "P_inv", (False, False): "Q", (
 
 @pytest.fixture
 def built(monkeypatch):
-    """Counts replays by (transform, first column kept); first 0 builds the whole transform."""
+    """Counts walks of a log by (transforms built, first column kept); first 0 builds whole transforms."""
     counts = Counter()
     replay = intlinalg._replay
 
-    def counting_replay(log, size, inverse, transposed, first=0):
-        counts[TRANSFORMS[inverse, transposed], first] += 1
-        return replay(log, size, inverse, transposed, first)
+    def counting_replay(log, size, *kinds, first=0):
+        counts["+".join(TRANSFORMS[kind] for kind in kinds), first] += 1
+        return replay(log, size, *kinds, first=first)
 
     monkeypatch.setattr(intlinalg, "_replay", counting_replay)
     return counts
@@ -79,8 +98,12 @@ def reports():
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_compute_homology_runs_three_snfs_and_two_assemblies(tally, name):
-    compute_homology(wallpaper.get_group(name)[0])
-    assert tally == {"snf": 3, "assemble": 2}
+    complex = wallpaper.get_group(name)[0]._replace()  # a fresh, unread layout
+    for calls in (1, 2):
+        assert validate(complex) == []
+        compute_homology(complex)
+        # the first read of the layout assembles d1 and d2, looking up each term's induction matrix once
+        assert tally == {"snf": 3 * calls, "assemble": 2, "induction": len(complex.boundary)}
 
 
 def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
@@ -88,15 +111,17 @@ def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
     path.write_text(gcw.to_json(wallpaper.get_group("pmm")[0]), encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["dump", "--from-file", str(path), "--format", "json"]) == 0
-    assert tally == {"snf": 3, "assemble": 2}
+    assert tally == {"snf": 3, "assemble": 2, "induction": terms("pmm")}
 
 
-def test_verify_computes_each_group_once(tally):
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(["verify"]) == 1
-    # 3 SNFs and 2 assemblies per group, plus one SNF per checked H_1 and H_0 basis
+def test_verify_computes_each_group_once(tally, fresh_builtins):
+    for _ in range(2):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify"]) == 1
+    # per run, 3 SNFs per group plus one per checked H_1 and H_0 basis; the first run
+    # assembles each group's d1 and d2, and the second reuses them
     groups = len(ALL_GROUPS)
-    assert tally == {"snf": 3 * groups + 2 * groups, "assemble": 2 * groups}
+    assert tally == {"snf": 2 * (3 * groups + 2 * groups), "assemble": 2 * groups, "induction": terms(*ALL_GROUPS)}
 
 
 def test_verify_table3_computes_no_homology(tally):
@@ -105,10 +130,11 @@ def test_verify_table3_computes_no_homology(tally):
     assert tally == {}
 
 
-def test_show_snf_reads_the_report(tally):
-    with redirect_stdout(io.StringIO()):
-        assert cli.main(["compute", "p4m", "--show-differentials", "--show-snf"]) == 0
-    assert tally == {"snf": 3, "assemble": 2}
+def test_show_snf_reads_the_report(tally, fresh_builtins):
+    for runs in (1, 2):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["compute", "p4m", "--show-differentials", "--show-snf"]) == 0
+        assert tally == {"snf": 3 * runs, "assemble": 2, "induction": terms("p4m")}
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
@@ -142,15 +168,15 @@ def restricted_replays(report) -> Counter:
     """The (transform, first) replays ``compute_homology`` makes for ``report``.
 
     d1 of rank k1: P_inv from k1 - t0 for the torsion and free generators of
-    H_0, Q from k1 for its kernel, Q_inv's rows from k1 for d2 in kernel
-    coordinates; d2 of rank k2: Q from k2 for its kernel; the H_1 matrix of
-    rank k: P_inv from k - t1 for its cokernel.
+    H_0, then Q and Q_inv's rows from k1, in one walk, for its kernel and d2
+    in kernel coordinates; d2 of rank k2: Q from k2 for its kernel; the H_1
+    matrix of rank k: P_inv from k - t1 for its cokernel.
     """
     k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
     h0, h1 = report.group(0), report.group(1)
     k = report.d1.cols - k1 - h1.free_rank
     return Counter(
-        [("P_inv", k1 - len(h0.torsion)), ("Q", k1), ("Q_inv", k1), ("Q", k2), ("P_inv", k - len(h1.torsion))]
+        [("P_inv", k1 - len(h0.torsion)), ("Q+Q_inv", k1), ("Q", k2), ("P_inv", k - len(h1.torsion))]
     )
 
 
@@ -200,8 +226,9 @@ def test_image_of_d2_in_kernel_coordinates_is_a_row_slice(reports, name):
     d1, d2 = reports[name].d1, reports[name].d2
     snf = smith_normal_form(d1)
     n, k = d1.cols, snf.rank
-    assert snf.kernel_coordinates() == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
-    assert snf.kernel_coordinates() @ d2 == solve_integer(kernel_basis(d1), d2)
+    coordinates = snf.kernel_with_coordinates()[1]
+    assert coordinates == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
+    assert coordinates @ d2 == solve_integer(kernel_basis(d1), d2)
 
 
 def kernel_coordinate_verdict(report, degree, candidates) -> tuple[bool, str]:
