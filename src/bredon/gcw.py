@@ -10,7 +10,7 @@ of the cell dimension, with the irreducible index as superscript.  A complex
 is checked and its differentials assembled once, in the pass that derives
 its chain layout; ``assemble_differential``, ``differentials`` and
 ``validate`` only read that layout, and the first two refuse a complex with
-any violation.
+any violation.  ``homology.compute_homology`` keeps the report beside it.
 """
 
 from __future__ import annotations
@@ -56,8 +56,8 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
     """Cell orbits and boundary terms of a 2-dimensional equivariant complex.
 
     Unlike the other records it keeps a ``__dict__``, where ``layout``, with
-    the differentials, is cached; ``_replace`` returns a copy whose layout is
-    not yet read."""
+    the differentials, and the homology report are cached; ``_replace``
+    returns a copy with neither."""
 
     def orbits_of_dimension(self, d: int) -> tuple[CellOrbit, ...]:
         return tuple(o for o in self.orbits if o.dimension == d)

@@ -1,7 +1,7 @@
 """Homology of an equivariant chain complex, with explicit labeled bases.
 
-One uniform algorithm serves every complex, with one Smith normal form per
-differential: D1 = P1*d1*Q1 of rank k gives H0 = coker d1 and the kernel
+One uniform algorithm serves every complex, reducing each differential once
+per complex: D1 = P1*d1*Q1 of rank k gives H0 = coker d1 and the kernel
 lattice basis Q1[:, k:] of d1; the decomposition of d2 gives H2 = ker d2.
 As Q1 is unimodular and d1*d2 = 0, the image of d2 in that kernel basis is
 the last n-k rows of Q1^-1 times d2, and H1 is its cokernel.  All
@@ -95,6 +95,20 @@ def _chains_from_columns(labels: Sequence[str], m: IntegerMatrix) -> tuple[Chain
 
 
 def compute_homology(complex: EquivariantComplex) -> HomologyReport:
+    """The homology of ``complex``, reduced on the first call for this object only.
+
+    The report is kept in the complex's ``__dict__`` beside ``layout``; later calls return
+    that same, read-only object, and a ``_replace`` copy or a new parse is reduced anew.
+    An invalid complex keeps nothing and raises ``InvalidComplexError`` on every call,
+    and the Euler identity is checked on every call (``EulerIdentityError``)."""
+    if (report := vars(complex).get("homology")) is None:
+        report = vars(complex)["homology"] = _reduce_complex(complex)
+    if not report.euler_identity_holds():
+        raise EulerIdentityError(report)
+    return report
+
+
+def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
     d1, d2 = differentials(complex)
     labels = complex.layout.labels
     snf1, snf2 = smith_normal_form(d1), smith_normal_form(d2)
@@ -131,7 +145,7 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
         torsion_basis=_chains_from_columns(labels[1], k1 @ cok1.torsion_generators),
     )
 
-    report = HomologyReport(
+    return HomologyReport(
         group_name=complex.group_name,
         groups=(h0, h1, h2),
         labels=labels,
@@ -140,9 +154,6 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
         invariant_factors_d1=snf1.invariant_factors,
         invariant_factors_d2=snf2.invariant_factors,
     )
-    if not report.euler_identity_holds():
-        raise EulerIdentityError(report)
-    return report
 
 
 class BasisVerdict(namedtuple("BasisVerdict", "accepted detail")):

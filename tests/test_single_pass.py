@@ -1,6 +1,7 @@
-"""The engine reduces each differential once per computation, and
-assembles it once in the lifetime of its complex, in the one pass that
-derives the complex's chain layout.
+"""The engine reduces each differential once per complex, and assembles
+it once in the lifetime of its complex, in the one pass that derives the
+complex's chain layout: ``compute_homology`` keeps its report beside the
+layout, and a later call on the same object reduces nothing.
 
 Counts are taken by patching ``intlinalg._reduce`` (one call per Smith
 normal form, on either row storage), ``gcw.IntegerMatrix`` (the layout
@@ -29,7 +30,16 @@ from hypothesis import strategies as st
 
 from bredon import chartab, cli, gcw, intlinalg, wallpaper
 from bredon.gcw import validate
-from bredon.homology import chain_vector, compute_homology, verify_basis
+from bredon.homology import (
+    EulerIdentityError,
+    HomologyReport,
+    InvalidComplexError,
+    chain_vector,
+    compute_homology,
+    report_doc,
+    report_to_json_dict,
+    verify_basis,
+)
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
 from snf_helpers import cokernel, col, hstack, identity, kernel_basis, solve_integer
 
@@ -99,11 +109,12 @@ def reports():
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_compute_homology_runs_three_snfs_and_two_assemblies(tally, name):
     complex = wallpaper.get_group(name)[0]._replace()  # a fresh, unread layout
-    for calls in (1, 2):
+    for _ in range(2):
         assert validate(complex) == []
         compute_homology(complex)
-        # the first read of the layout assembles d1 and d2, looking up each term's induction matrix once
-        assert tally == {"snf": 3 * calls, "assemble": 2, "induction": len(complex.boundary)}
+        # the first call reduces d1, d2 and the H_1 matrix, and the first read of the layout
+        # assembles d1 and d2, looking up each term's induction matrix once; the second reuses both
+        assert tally == {"snf": 3, "assemble": 2, "induction": len(complex.boundary)}
 
 
 def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
@@ -118,10 +129,10 @@ def test_verify_computes_each_group_once(tally, fresh_builtins):
     for _ in range(2):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify"]) == 1
-    # per run, 3 SNFs per group plus one per checked H_1 and H_0 basis; the first run
-    # assembles each group's d1 and d2, and the second reuses them
+    # the first run reduces each group (3 SNFs) and assembles its d1 and d2, and the second
+    # reuses its report; each run checks an H_1 and an H_0 basis per group, with one SNF each
     groups = len(ALL_GROUPS)
-    assert tally == {"snf": 2 * (3 * groups + 2 * groups), "assemble": 2 * groups, "induction": terms(*ALL_GROUPS)}
+    assert tally == {"snf": 3 * groups + 2 * (2 * groups), "assemble": 2 * groups, "induction": terms(*ALL_GROUPS)}
 
 
 def test_verify_table3_computes_no_homology(tally):
@@ -131,10 +142,10 @@ def test_verify_table3_computes_no_homology(tally):
 
 
 def test_show_snf_reads_the_report(tally, fresh_builtins):
-    for runs in (1, 2):
+    for _ in range(2):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["compute", "p4m", "--show-differentials", "--show-snf"]) == 0
-        assert tally == {"snf": 3 * runs, "assemble": 2, "induction": terms("p4m")}
+        assert tally == {"snf": 3, "assemble": 2, "induction": terms("p4m")}
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
@@ -164,6 +175,73 @@ def test_compute_homology_derives_the_layout_once(monkeypatch, name):
     assert calls["bredon.gcw"] == len(complex.orbits)
 
 
+# ---------------------------------------------------------------------------
+# The report is kept by its complex object, not by value
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_a_second_call_returns_the_same_report(name):
+    complex = wallpaper.get_group(name)[0]._replace()
+    assert compute_homology(complex) is compute_homology(complex)
+
+
+def test_a_copy_and_a_second_parse_are_reduced_again(tally):
+    complex = wallpaper.get_group("p4g")[0]
+    report = compute_homology(complex)
+    data = gcw.to_json_dict(complex)
+    compute_homology(gcw.from_json_dict(data))
+    for copy in (complex._replace(), gcw.from_json_dict(data)):
+        tally.clear()
+        assert compute_homology(copy) == report and compute_homology(copy) is not report
+        assert tally["snf"] == 3
+
+
+def test_an_invalid_complex_raises_on_every_call_and_keeps_nothing(tally):
+    cm = wallpaper.get_group("cm")[0]
+    bad_term = ("e1^0", "e0", 1)
+    invalid = (
+        gcw.EquivariantComplex("broken", (gcw.CellOrbit("f", 2, "C1", "gamma"), gcw.CellOrbit("f2", 2, "C1", "g")), ()),
+        cm._replace(
+            boundary=tuple(
+                t._replace(embedding="C2->C2") if (t.source, t.target, t.sign) == bad_term else t for t in cm.boundary
+            )
+        ),
+    )
+    for complex in invalid:
+        for _ in range(2):
+            with pytest.raises(InvalidComplexError):
+                compute_homology(complex)
+        assert list(vars(complex)) == ["layout"]
+    assert "snf" not in tally
+
+
+def test_the_euler_identity_is_checked_on_every_call(monkeypatch):
+    complex = wallpaper.get_group("p1")[0]._replace()
+    report = compute_homology(complex)
+    monkeypatch.setattr(HomologyReport, "euler_identity_holds", lambda self: False)
+    with pytest.raises(EulerIdentityError) as excinfo:
+        compute_homology(complex)
+    assert excinfo.value.chain_ranks == (1, 2, 1) and excinfo.value.free_ranks == (1, 2, 1)
+    monkeypatch.undo()
+    assert compute_homology(complex) is report
+
+
+def test_readers_leave_each_shared_report_as_computed():
+    complexes = [wallpaper.get_group(name)[0] for name in ALL_GROUPS]
+    for report in map(compute_homology, complexes):
+        report_doc(report)
+        report_to_json_dict(report)
+        for degree in (0, 1, 2):
+            group = report.group(degree)
+            assert verify_basis(report, degree, list(group.torsion_basis) + list(group.basis))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["compute", "--all", "--format", "json"]) == 0
+        assert cli.main(["compute", "--all", "--show-differentials", "--show-snf"]) == 0
+        assert cli.main(["verify"]) == 1
+    for complex in complexes:
+        assert compute_homology(complex) == compute_homology(complex._replace()), complex.group_name
+
+
 def restricted_replays(report) -> Counter:
     """The (transform, first) replays ``compute_homology`` makes for ``report``.
 
@@ -182,9 +260,13 @@ def restricted_replays(report) -> Counter:
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_compute_homology_builds_five_transforms(built, reports, name):
-    compute_homology(wallpaper.get_group(name)[0])
+    complex = wallpaper.get_group(name)[0]._replace()  # a fresh copy, not yet reduced
+    compute_homology(complex)
     # a replay from first 0 builds a full transform, only where every column is read
     assert built == restricted_replays(reports[name])
+    built.clear()
+    compute_homology(complex)
+    assert built == {}
 
 
 def test_verify_basis_builds_no_transform(reports, built):
@@ -195,6 +277,13 @@ def test_verify_basis_builds_no_transform(reports, built):
     assert built == {}
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify"]) == 1  # the cm reference basis is rejected
+    assert built == {}  # every built-in complex keeps the report computed for ``reports``
+
+
+def test_verify_builds_each_groups_transforms_once(reports, built, fresh_builtins):
+    for _ in range(2):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify"]) == 1
     assert built == sum((restricted_replays(reports[name]) for name in ALL_GROUPS), Counter())
 
 
