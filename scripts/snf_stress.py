@@ -12,9 +12,10 @@ as ``smith_normal_form``; the report counts the draws that
 transform is built by replaying its operation log in reverse on dict rows of
 nonzeros, one code path for dense and sparse draws alike: an add walks the
 nonzeros of its source row and deletes each entry it cancels.
-The kernel, the kernel coordinates and the cokernel generators, each
-replayed from the rank (less the torsion) on, must equal the matching
-slices of the full Q, Q_inv and P_inv.
+The kernel, the kernel coordinates and the cokernel generators and
+coordinates, each replayed from the rank (less the torsion) on, must equal
+the matching slices of the full Q, Q_inv, P_inv and P, and the cokernel
+coordinates times its generators, torsion then free, must be the identity.
 Reports throughput and the largest P and Q entries, in bits, over the dense
 draws; exits nonzero on the first violation.
 
@@ -78,13 +79,21 @@ def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
     if kernel.cols != n - k or cok.free_rank != m - k:
         return f"rank bookkeeping broken for {a.to_rows()}"
     torsion_positions = [i for i, d in enumerate(factors) if d > 1]
+    t = len(torsion_positions)
     if (
         kernel != snf.Q.take_columns(range(k, n))
         or snf.kernel_with_coordinates() != (kernel, IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:]))
         or cok.torsion_generators != snf.P_inv.take_columns(torsion_positions)
         or cok.free_generators != snf.P_inv.take_columns(range(k, m))
+        or cok.coordinates != IntegerMatrix(m - k + t, m, snf.P.nonzeros[k - t :])
     ):
         return f"restricted replay differs from the full transform for {a.to_rows()}"
+    unit = identity(m - k + t)
+    if (
+        cok.coordinates @ cok.torsion_generators != unit.take_columns(range(t))
+        or cok.coordinates @ cok.free_generators != unit.take_columns(range(t, m - k + t))
+    ):
+        return f"cokernel coordinates do not invert its generators for {a.to_rows()}"
     return None
 
 

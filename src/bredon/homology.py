@@ -6,12 +6,16 @@ lattice basis Q1[:, k:] of d1; the decomposition of d2 gives H2 = ker d2.
 As Q1 is unimodular and d1*d2 = 0, the image of d2 in that kernel basis is
 the last n-k rows of Q1^-1 times d2, and H1 is its cokernel.  All
 generator vectors are carried back to the chain groups and expressed over
-the generator labels.
+the generator labels.  Each group also keeps its coordinates, the map that
+sends a cycle to its class in Z/d_1 + ... + Z/d_t + Z^f, read off the same
+reductions: rows k1-t onward of P1 for H0, the last rows of Q2^-1 for H2,
+and for H1 the cokernel's rows of P times the kernel coordinates Q1^-1[k:, :].
 
 ``verify_basis`` checks a candidate family of labeled chains against a
 computed group: every candidate must be a cycle and the candidates'
 classes must generate the homology group, decided exactly by one
-Smith-normal-form cokernel in chain coordinates.
+Smith normal form of their coordinates beside the torsion relations, so
+no boundary matrix is reduced again.
 """
 
 from __future__ import annotations
@@ -47,8 +51,12 @@ class EulerIdentityError(ArithmeticError):
         )
 
 
-class HomologyGroup(namedtuple("HomologyGroup", "degree free_rank torsion basis torsion_basis")):
-    """H_degree = Z^free_rank + sum of Z/d over torsion, with generating chains."""
+class HomologyGroup(namedtuple("HomologyGroup", "degree free_rank torsion basis torsion_basis coordinates")):
+    """H_degree = Z^free_rank + sum of Z/d over torsion, with generating chains.
+
+    ``coordinates``, a row per torsion factor then per free rank, sends a cycle to
+    its class, row i < len(torsion) modulo torsion[i], and ``torsion_basis + basis``
+    to the identity; it is not written to JSON."""
 
     __slots__ = ()
 
@@ -121,20 +129,23 @@ def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
         torsion=cok0.torsion,
         basis=_chains_from_columns(labels[0], cok0.free_generators),
         torsion_basis=_chains_from_columns(labels[0], cok0.torsion_generators),
+        coordinates=cok0.coordinates,
     )
 
     # Degree 2: kernel lattice of the degree-2 differential, always free.
-    k2 = snf2.kernel()
+    k2, coordinates2 = snf2.kernel_with_coordinates()
     h2 = HomologyGroup(
         degree=2,
         free_rank=k2.cols,
         torsion=(),
         basis=_chains_from_columns(labels[2], k2),
         torsion_basis=(),
+        coordinates=coordinates2,
     )
 
     # Degree 1: cokernel of im d2 in the coordinates of the kernel basis
-    # k1 = Q1[:, k:], which are Q1^-1[k:, :] @ d2; generators return via k1.
+    # k1 = Q1[:, k:], which are Q1^-1[k:, :] @ d2; generators return via k1,
+    # and a cycle's class is its cokernel coordinates of its kernel coordinates.
     k1, coordinates = snf1.kernel_with_coordinates()
     cok1 = smith_normal_form(coordinates @ d2).cokernel()
     h1 = HomologyGroup(
@@ -143,6 +154,7 @@ def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
         torsion=cok1.torsion,
         basis=_chains_from_columns(labels[1], k1 @ cok1.free_generators),
         torsion_basis=_chains_from_columns(labels[1], k1 @ cok1.torsion_generators),
+        coordinates=cok1.coordinates @ coordinates,
     )
 
     return HomologyReport(
@@ -187,12 +199,13 @@ def verify_basis(
 ) -> BasisVerdict:
     """ACCEPT iff every candidate is a cycle and their classes generate H_degree.
 
-    The cycles Z = ker d_n are saturated in the chain group C_n, so C_n/Z is
-    free of rank r = rank d_n and C_n/(span + im d_n+1) = Z/(span + im d_n+1)
-    + Z^r: the cokernel of [candidates | d_n+1] has the quotient's torsion,
-    and its free rank exceeds the quotient's by r.  That matrix is built in
-    one pass, row by row from the candidates and the nonzeros of d_n+1, and
-    only its invariant factors are read, so no transform is built.
+    The group's ``coordinates`` identify H_degree with Z/d_1 + ... + Z/d_t + Z^f,
+    so the quotient of H_degree by the candidates' span is the cokernel of
+    C = [coordinates @ candidates | diag(d_1, ..., d_t)], the diagonal on the
+    t torsion rows: its torsion is the invariant factors of C above 1 and its
+    free rank is t + f less the rank of C.  One Smith normal form of C, a
+    matrix with a row per invariant of the group, decides it, and only its
+    invariant factors are read, so no transform is built.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
@@ -204,15 +217,14 @@ def verify_basis(
         if any(sum(map(mul, row.values(), map(vector.__getitem__, row))) for row in differential.nonzeros):
             return BasisVerdict(False, f"candidate {j + 1} is not a cycle")
 
-    lines = [dict(compress(enumerate(line), line)) for line in zip(*vectors)] or [{} for _ in range(n)]
-    if (boundaries := {0: report.d1, 1: report.d2}.get(degree)) is not None:
-        for line, row in zip(lines, boundaries.nonzeros):
-            line.update({cols + c: v for c, v in row.items()})
-        cols += boundaries.cols
-    snf = smith_normal_form(IntegerMatrix(n, cols, tuple(lines)))
+    chains = [dict(compress(enumerate(line), line)) for line in zip(*vectors)] or [{} for _ in range(n)]
+    group = report.group(degree)
+    image, t = group.coordinates @ IntegerMatrix(n, cols, tuple(chains)), len(group.torsion)
+    # the relation d_i on torsion row i is column cols + i
+    lines = tuple({**line, cols + i: d} for i, (line, d) in enumerate(zip(image.nonzeros, group.torsion)))
+    snf = smith_normal_form(IntegerMatrix(image.rows, cols + t, lines + image.nonzeros[t:]))
     torsion = [d for d in snf.invariant_factors if d > 1]
-    cycle_corank = len({1: report.invariant_factors_d1, 2: report.invariant_factors_d2}.get(degree, ()))
-    free_rank = n - snf.rank - cycle_corank  # r in the docstring
+    free_rank = image.rows - snf.rank
     missing = [f"free rank {free_rank}"] if free_rank else []
     missing += [f"torsion {torsion}"] if torsion else []
     if missing:

@@ -141,7 +141,7 @@ class SNFDecomposition:
     pays only for the transforms it reads; D is built from the invariant
     factors, also on first read.  ``kernel``, ``cokernel`` and
     ``kernel_with_coordinates`` replay only the columns of Q and P_inv, or
-    rows of Q_inv, that they return, and are not cached.
+    rows of Q_inv and P, that they return, and are not cached.
     """
 
     def __init__(self, matrix: IntegerMatrix, invariant_factors: tuple[int, ...], row_ops: list, col_ops: list) -> None:
@@ -186,21 +186,24 @@ class SNFDecomposition:
         # The factors > 1 end the divisibility chain, so they are the last t before the rank.
         torsion = tuple(d for d in self.invariant_factors if d > 1)
         t, m = len(torsion), self.matrix.rows
-        (generators,) = _replay(self.row_ops, m, (True, False), first=self.rank - t)
+        generators, coordinates = _replay(self.row_ops, m, (True, False), (False, True), first=self.rank - t)
         return CokernelPresentation(
             torsion=torsion,
             free_rank=m - self.rank,
             torsion_generators=generators.take_columns(range(t)),
             free_generators=generators.take_columns(range(t, generators.cols)) if t else generators,
+            coordinates=coordinates,
         )
 
 
-class CokernelPresentation(namedtuple("CokernelPresentation", "torsion free_rank torsion_generators free_generators")):
+class CokernelPresentation(namedtuple("CokernelPresentation", "torsion free_rank torsion_generators free_generators coordinates")):
     """coker(A) = Z^free_rank x prod Z/d for the torsion chain d.
 
     Generator vectors live in the codomain Z^m: ``free_generators`` are the
     last m-k columns of P_inv, ``torsion_generators`` the P_inv columns at
-    the positions of invariant factors > 1.
+    the positions of invariant factors > 1.  ``coordinates``, the matching
+    rows of P, sends a vector of Z^m to its class, row i < t modulo the i-th
+    torsion factor; times the generators, torsion then free, it is the identity.
     """
 
     __slots__ = ()

@@ -373,6 +373,8 @@ def test_restricted_replays_are_slices_of_the_full_transforms(a):
     assert cok.torsion == tuple(snf.invariant_factors[i] for i in torsion_positions)
     assert cok.torsion_generators == snf.P_inv.take_columns(torsion_positions)
     assert cok.free_generators == snf.P_inv.take_columns(range(k, m))
+    t = len(torsion_positions)
+    assert cok.coordinates == IntegerMatrix(m - k + t, m, snf.P.nonzeros[k - t :])
     # every first column, for all four transforms, each alone and all in one walk: columns of
     # the untransposed product
     for log, size in ((snf.row_ops, m), (snf.col_ops, n)):

@@ -10,11 +10,15 @@ and ``chartab.build_table`` (the lookups made from ``gcw``); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
 counted by patching ``intlinalg._replay``, keyed by the transforms one walk
 of a log builds and the first column they keep.  ``compute_homology``
-replays only the columns it reads, ``bredon snf`` the full P and Q, and
-``verify_basis`` none.  The
-verdicts of ``verify_basis`` are checked against the kernel-coordinate
-algorithm it replaced, rebuilt here from ``kernel_basis``,
-``solve_integer`` and ``cokernel`` of the tests' ``snf_helpers``.
+replays only the columns and rows it reads, in four walks (each cokernel's
+P_inv columns with its P rows, each kernel's Q columns with its Q_inv
+rows), ``bredon snf`` the full P and Q, and ``verify_basis`` none.  The
+coordinates each homology group keeps are checked against its own basis
+and boundaries, and the verdicts that ``verify_basis`` reads off them are
+checked against the kernel-coordinate algorithm, rebuilt here from
+``kernel_basis``, ``solve_integer`` and ``cokernel`` of the tests'
+``snf_helpers``, on the built-in complexes, seeded subdivisions and a
+complex with torsion in H_0.
 """
 
 import io
@@ -42,8 +46,28 @@ from bredon.homology import (
 )
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
 from snf_helpers import cokernel, col, hstack, identity, kernel_basis, solve_integer
+from subdivision import subdivided_group
 
 ALL_GROUPS = wallpaper.list_groups()
+
+
+def torsion_in_degree_zero() -> gcw.EquivariantComplex:
+    """One vertex, one edge with two +1 terms on it and a bare 2-cell: H_0 = Z/2, H_1 = 0, H_2 = Z."""
+    return gcw.EquivariantComplex(
+        "h0-torsion",
+        (gcw.CellOrbit("v", 0, "C1", "alpha"), gcw.CellOrbit("e", 1, "C1", "beta"), gcw.CellOrbit("f", 2, "C1", "gamma")),
+        (gcw.BoundaryTerm("e", "v", 1, "C1->C1"), gcw.BoundaryTerm("e", "v", 1, "C1->C1")),
+    )
+
+
+#: Complexes beyond the built-ins: subdivisions with torsion in H_1 (pg, pgg) or a long
+#: operation log (p6m), and the one complex here with torsion in H_0.
+MORE_COMPLEXES = {
+    "pg-sub20": lambda: gcw.from_json_dict(subdivided_group("pg", 20)),
+    "pgg-sub20": lambda: gcw.from_json_dict(subdivided_group("pgg", 20)),
+    "p6m-sub40": lambda: gcw.from_json_dict(subdivided_group("p6m", 40)),
+    "h0-torsion": torsion_in_degree_zero,
+}
 
 
 @pytest.fixture
@@ -103,7 +127,9 @@ def built(monkeypatch):
 
 @pytest.fixture(scope="module")
 def reports():
-    return {name: compute_homology(wallpaper.get_group(name)[0]) for name in ALL_GROUPS}
+    """The report of each built-in group, and of each of ``MORE_COMPLEXES``."""
+    built_ins = {name: compute_homology(wallpaper.get_group(name)[0]) for name in ALL_GROUPS}
+    return built_ins | {name: compute_homology(build()) for name, build in MORE_COMPLEXES.items()}
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
@@ -243,18 +269,20 @@ def test_readers_leave_each_shared_report_as_computed():
 
 
 def restricted_replays(report) -> Counter:
-    """The (transform, first) replays ``compute_homology`` makes for ``report``.
+    """The (transforms, first) walks ``compute_homology`` makes for ``report``.
 
-    d1 of rank k1: P_inv from k1 - t0 for the torsion and free generators of
-    H_0, then Q and Q_inv's rows from k1, in one walk, for its kernel and d2
-    in kernel coordinates; d2 of rank k2: Q from k2 for its kernel; the H_1
-    matrix of rank k: P_inv from k - t1 for its cokernel.
+    d1 of rank k1: P_inv's columns and P's rows from k1 - t0, in one walk, for
+    the generators and coordinates of H_0, then Q's columns and Q_inv's rows
+    from k1, in one walk, for its kernel and d2 in kernel coordinates; d2 of
+    rank k2: Q's columns and Q_inv's rows from k2 for the basis and
+    coordinates of H_2; the H_1 matrix of rank k: P_inv's columns and P's
+    rows from k - t1 for its cokernel.
     """
     k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
     h0, h1 = report.group(0), report.group(1)
     k = report.d1.cols - k1 - h1.free_rank
     return Counter(
-        [("P_inv", k1 - len(h0.torsion)), ("Q+Q_inv", k1), ("Q", k2), ("P_inv", k - len(h1.torsion))]
+        [("P_inv+P", k1 - len(h0.torsion)), ("Q+Q_inv", k1), ("Q+Q_inv", k2), ("P_inv+P", k - len(h1.torsion))]
     )
 
 
@@ -262,7 +290,8 @@ def restricted_replays(report) -> Counter:
 def test_compute_homology_builds_five_transforms(built, reports, name):
     complex = wallpaper.get_group(name)[0]._replace()  # a fresh copy, not yet reduced
     compute_homology(complex)
-    # a replay from first 0 builds a full transform, only where every column is read
+    # four walks, each building two restricted transforms; a replay from first 0 builds a full
+    # transform, only where every column is read
     assert built == restricted_replays(reports[name])
     built.clear()
     compute_homology(complex)
@@ -379,7 +408,7 @@ def random_families(report, degree, rng, count):
         yield [{lab: c for lab, c in chain.items() if c} for chain in family]
 
 
-@pytest.mark.parametrize("name", ALL_GROUPS)
+@pytest.mark.parametrize("name", ALL_GROUPS + list(MORE_COMPLEXES))
 def test_verdicts_match_the_kernel_coordinate_algorithm(reports, name):
     rng = random.Random(f"verdicts-{name}")
     report = reports[name]
@@ -394,3 +423,25 @@ def test_verdicts_match_the_kernel_coordinate_algorithm(reports, name):
     assert details["candidates do not generate"]
     has_non_cycles = not (report.d1.is_zero() and report.d2.is_zero())
     assert any(d.endswith("is not a cycle") for d in details) == has_non_cycles
+
+
+def test_a_torsion_class_in_degree_zero_needs_an_odd_multiple(reports):
+    report = reports["h0-torsion"]
+    assert [g.iso_type() for g in report.groups] == [(0, (2,)), (0, ()), (1, ())]
+    twice = verify_basis(report, 0, [{"alpha": 2}])
+    assert (twice.verdict, twice.detail) == ("REJECT", "candidates do not generate: quotient has torsion [2]")
+    assert verify_basis(report, 0, [{"alpha": 3}]).verdict == "ACCEPT"
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS + list(MORE_COMPLEXES))
+def test_coordinates_invert_the_basis_and_kill_the_boundaries(reports, name):
+    report = reports[name]
+    for degree, boundaries in ((0, report.d1), (1, report.d2), (2, None)):
+        group = report.group(degree)
+        vectors = [chain_vector(report, degree, c) for c in group.torsion_basis + group.basis]
+        generators = IntegerMatrix.from_rows(vectors, cols=len(report.labels[degree])).transpose()
+        assert group.coordinates @ generators == identity(len(vectors)), (name, degree)
+        if boundaries is not None:  # a boundary is zero in every free coordinate and 0 mod d_i in torsion row i
+            image = group.coordinates @ boundaries
+            assert all(v % d == 0 for d, line in zip(group.torsion, image.nonzeros) for v in line.values())
+            assert not any(image.nonzeros[len(group.torsion) :]), (name, degree)
