@@ -12,10 +12,11 @@ as ``smith_normal_form``; the report counts the draws that
 transform is built by replaying its operation log in reverse on dict rows of
 nonzeros, one code path for dense and sparse draws alike: an add walks the
 nonzeros of its source row and deletes each entry it cancels.
-The kernel, the kernel coordinates and the cokernel generators and
-coordinates, each replayed from the rank (less the torsion) on, must equal
-the matching slices of the full Q, Q_inv, P_inv and P, and the cokernel
-coordinates times its generators, torsion then free, must be the identity.
+The kernel and the cokernel, each a presentation replayed from the rank
+(less the torsion) on, pass one check on every draw: its generators must be
+the matching columns of the full Q, or of P_inv (torsion, then free), its
+coordinates the matching rows of Q_inv or P, and its coordinates times its
+generators the identity.
 Reports throughput and the largest P and Q entries, in bits, over the dense
 draws; exits nonzero on the first violation.
 
@@ -31,7 +32,7 @@ import sys
 import time
 
 from bredon import intlinalg
-from bredon.intlinalg import IntegerMatrix, SNFDecomposition, smith_normal_form
+from bredon.intlinalg import IntegerMatrix, Presentation, SNFDecomposition, smith_normal_form
 
 STORAGES = (intlinalg._DenseRows, intlinalg._SparseRows)
 
@@ -75,25 +76,35 @@ def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
         return f"non-positive invariant factor for {a.to_rows()}"
     if any(e % d for d, e in zip(factors, factors[1:])):
         return f"divisibility chain broken for {a.to_rows()}"
-    k, kernel, cok = len(factors), snf.kernel(), snf.cokernel()
-    if kernel.cols != n - k or cok.free_rank != m - k:
-        return f"rank bookkeeping broken for {a.to_rows()}"
+    k = len(factors)
     torsion_positions = [i for i, d in enumerate(factors) if d > 1]
-    t = len(torsion_positions)
-    if (
-        kernel != snf.Q.take_columns(range(k, n))
-        or snf.kernel_with_coordinates() != (kernel, IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:]))
-        or cok.torsion_generators != snf.P_inv.take_columns(torsion_positions)
-        or cok.free_generators != snf.P_inv.take_columns(range(k, m))
-        or cok.coordinates != IntegerMatrix(m - k + t, m, snf.P.nonzeros[k - t :])
+    cokernel_torsion = tuple(factors[i] for i in torsion_positions)
+    for name, presentation, torsion, generators, coordinates, kept in (
+        ("kernel", snf.kernel(), (), snf.Q, snf.Q_inv, list(range(k, n))),
+        ("cokernel", snf.cokernel(), cokernel_torsion, snf.P_inv, snf.P, torsion_positions + list(range(k, m))),
     ):
-        return f"restricted replay differs from the full transform for {a.to_rows()}"
-    unit = identity(m - k + t)
-    if (
-        cok.coordinates @ cok.torsion_generators != unit.take_columns(range(t))
-        or cok.coordinates @ cok.free_generators != unit.take_columns(range(t, m - k + t))
-    ):
-        return f"cokernel coordinates do not invert its generators for {a.to_rows()}"
+        if problem := check_presentation(presentation, torsion, generators, coordinates, kept):
+            return f"{name} {problem} for {a.to_rows()}"
+    return None
+
+
+def check_presentation(
+    presentation: Presentation,
+    torsion: tuple[int, ...],
+    generators: IntegerMatrix,
+    coordinates: IntegerMatrix,
+    kept: list[int],
+) -> str | None:
+    """What is wrong with ``presentation``, or None: it must have ``torsion``, be the ``kept`` columns of
+    the full transform ``generators`` and the ``kept`` rows of ``coordinates``, and its coordinates times
+    its generators must be the identity."""
+    if presentation.torsion != torsion or presentation.free_rank != len(kept) - len(torsion):
+        return "has the wrong invariants"
+    rows = IntegerMatrix(len(kept), coordinates.cols, tuple(coordinates.nonzeros[i] for i in kept))
+    if presentation.generators != generators.take_columns(kept) or presentation.coordinates != rows:
+        return "differs from the columns and rows of the full transforms"
+    if presentation.coordinates @ presentation.generators != identity(len(kept)):
+        return "coordinates do not invert its generators"
     return None
 
 

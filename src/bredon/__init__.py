@@ -20,7 +20,7 @@ _EXPORTS = {
         ("cyclotomic", "Cyclotomic"),
         ("gcw", "BoundaryTerm CellOrbit EquivariantComplex assemble_differential chain_rank validate"),
         ("homology", "BasisVerdict HomologyGroup HomologyReport compute_homology verify_basis"),
-        ("intlinalg", "CokernelPresentation IntegerMatrix SNFDecomposition smith_normal_form"),
+        ("intlinalg", "IntegerMatrix Presentation SNFDecomposition smith_normal_form"),
         ("wallpaper", "GroupRecord get_group list_groups"),
     )
     for name in names.split()

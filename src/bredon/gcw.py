@@ -44,10 +44,10 @@ class BoundaryTerm(namedtuple("BoundaryTerm", "source target sign embedding")):
     __slots__ = ()
 
 
-class ChainLayout(namedtuple("ChainLayout", "labels offsets differentials violations")):
-    """Per degree d: generator names and each orbit's block offset; then (d1, d2), assembled
-    from the valid terms and ``None`` when an orbit violation ends the pass before them; then
-    every violation, as human-readable strings."""
+class ChainLayout(namedtuple("ChainLayout", "labels differentials violations")):
+    """The generator names of each degree; then (d1, d2), assembled from the valid terms and
+    ``None`` when an orbit violation ends the pass before them; then every violation, as
+    human-readable strings."""
 
     __slots__ = ()
 
@@ -95,7 +95,7 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
                 labels[d].extend([orbit.label] if rank == 1 else [f"{orbit.label}^{k}" for k in range(1, rank + 1)])
         labels = tuple(map(tuple, labels))
         if violations:
-            return ChainLayout(labels, offsets, None, violations)
+            return ChainLayout(labels, None, violations)
 
         # Orbit ids are unique and every stabilizer is known from here on.
         if len(offsets[2]) != 1:
@@ -137,7 +137,7 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
         d1, d2 = (IntegerMatrix(len(labels[d - 1]), len(labels[d]), tuple(data[d])) for d in (1, 2))
         if not violations and not (d1 @ d2).is_zero():
             violations.append("differentials do not compose to zero")
-        return ChainLayout(labels, offsets, (d1, d2), violations)
+        return ChainLayout(labels, (d1, d2), violations)
 
 
 def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[str]]:

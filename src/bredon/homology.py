@@ -1,15 +1,16 @@
 """Homology of an equivariant chain complex, with explicit labeled bases.
 
 One uniform algorithm serves every complex, reducing each differential once
-per complex: D1 = P1*d1*Q1 of rank k gives H0 = coker d1 and the kernel
-lattice basis Q1[:, k:] of d1; the decomposition of d2 gives H2 = ker d2.
-As Q1 is unimodular and d1*d2 = 0, the image of d2 in that kernel basis is
-the last n-k rows of Q1^-1 times d2, and H1 is its cokernel.  All
-generator vectors are carried back to the chain groups and expressed over
-the generator labels.  Each group also keeps its coordinates, the map that
-sends a cycle to its class in Z/d_1 + ... + Z/d_t + Z^f, read off the same
-reductions: rows k1-t onward of P1 for H0, the last rows of Q2^-1 for H2,
-and for H1 the cokernel's rows of P times the kernel coordinates Q1^-1[k:, :].
+per complex, and reads every group as an ``intlinalg.Presentation``: its
+torsion chain, a generator column per invariant and the matching coordinate
+rows, which send a cycle to its class in Z/d_1 + ... + Z/d_t + Z^f.
+D1 = P1*d1*Q1 of rank k gives H0 = coker d1 and the kernel k1 of d1, the
+columns of Q1 and rows of Q1^-1 from k on; the decomposition of d2 gives
+H2 = ker d2.  As Q1 is unimodular and d1*d2 = 0, the image of d2 in the
+kernel basis is k1's coordinates times d2, and H1 is its cokernel: its
+generators return to chains through k1's generators, and its coordinates
+are the cokernel's times k1's.  One builder turns each presentation into a
+group over the generator labels, torsion generators first.
 
 ``verify_basis`` checks a candidate family of labeled chains against a
 computed group: every candidate must be a cycle and the candidates'
@@ -27,7 +28,7 @@ from operator import mul
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
 from .gcw import EquivariantComplex, InvalidComplexError, differentials  # noqa: F401
-from .intlinalg import IntegerMatrix, smith_normal_form
+from .intlinalg import IntegerMatrix, Presentation, smith_normal_form
 
 #: A chain over the degree-d generators: ((label, coefficient), ...).
 Chain = tuple[tuple[str, int], ...]
@@ -94,14 +95,6 @@ class HomologyReport(
         return c0 - c1 + c2 == h[0] - h[1] + h[2]
 
 
-def _chains_from_columns(labels: Sequence[str], m: IntegerMatrix) -> tuple[Chain, ...]:
-    chains: list[list[tuple[str, int]]] = [[] for _ in range(m.cols)]
-    for label, row in zip(labels, m.nonzeros):
-        for j, v in row.items():
-            chains[j].append((label, v))
-    return tuple(map(tuple, chains))
-
-
 def compute_homology(complex: EquivariantComplex) -> HomologyReport:
     """The homology of ``complex``, reduced on the first call for this object only.
 
@@ -120,43 +113,14 @@ def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
     d1, d2 = differentials(complex)
     labels = complex.layout.labels
     snf1, snf2 = smith_normal_form(d1), smith_normal_form(d2)
-
-    # Degree 0: plain cokernel of the degree-1 differential.
-    cok0 = snf1.cokernel()
-    h0 = HomologyGroup(
-        degree=0,
-        free_rank=cok0.free_rank,
-        torsion=cok0.torsion,
-        basis=_chains_from_columns(labels[0], cok0.free_generators),
-        torsion_basis=_chains_from_columns(labels[0], cok0.torsion_generators),
-        coordinates=cok0.coordinates,
-    )
-
-    # Degree 2: kernel lattice of the degree-2 differential, always free.
-    k2, coordinates2 = snf2.kernel_with_coordinates()
-    h2 = HomologyGroup(
-        degree=2,
-        free_rank=k2.cols,
-        torsion=(),
-        basis=_chains_from_columns(labels[2], k2),
-        torsion_basis=(),
-        coordinates=coordinates2,
-    )
-
-    # Degree 1: cokernel of im d2 in the coordinates of the kernel basis
-    # k1 = Q1[:, k:], which are Q1^-1[k:, :] @ d2; generators return via k1,
-    # and a cycle's class is its cokernel coordinates of its kernel coordinates.
-    k1, coordinates = snf1.kernel_with_coordinates()
-    cok1 = smith_normal_form(coordinates @ d2).cokernel()
-    h1 = HomologyGroup(
-        degree=1,
-        free_rank=cok1.free_rank,
-        torsion=cok1.torsion,
-        basis=_chains_from_columns(labels[1], k1 @ cok1.free_generators),
-        torsion_basis=_chains_from_columns(labels[1], k1 @ cok1.torsion_generators),
-        coordinates=cok1.coordinates @ coordinates,
-    )
-
+    h0 = _group(0, labels[0], snf1.cokernel())
+    # H1 is the cokernel of im d2 in the coordinates of the kernel basis of d1:
+    # its generators return to chains through that basis, and a cycle's class
+    # is the cokernel coordinates of its kernel coordinates.
+    k1 = snf1.kernel()
+    cok = smith_normal_form(k1.coordinates @ d2).cokernel()
+    h1 = _group(1, labels[1], Presentation(cok.torsion, k1.generators @ cok.generators, cok.coordinates @ k1.coordinates))
+    h2 = _group(2, labels[2], snf2.kernel())
     return HomologyReport(
         group_name=complex.group_name,
         groups=(h0, h1, h2),
@@ -165,6 +129,23 @@ def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
         d2=d2,
         invariant_factors_d1=snf1.invariant_factors,
         invariant_factors_d2=snf2.invariant_factors,
+    )
+
+
+def _group(degree: int, labels: Sequence[str], presentation: Presentation) -> HomologyGroup:
+    """H_degree over the degree's generator labels: a chain per generator column, torsion first."""
+    chains: list[list[tuple[str, int]]] = [[] for _ in range(presentation.generators.cols)]
+    for label, row in zip(labels, presentation.generators.nonzeros):
+        for j, v in row.items():
+            chains[j].append((label, v))
+    t = len(presentation.torsion)
+    return HomologyGroup(
+        degree=degree,
+        free_rank=presentation.free_rank,
+        torsion=presentation.torsion,
+        basis=tuple(map(tuple, chains[t:])),
+        torsion_basis=tuple(map(tuple, chains[:t])),
+        coordinates=presentation.coordinates,
     )
 
 
@@ -182,16 +163,29 @@ class BasisVerdict(namedtuple("BasisVerdict", "accepted detail")):
 
 
 def chain_vector(report: HomologyReport, degree: int, candidate: Mapping[str, int] | Chain) -> list[int]:
+    return _chain_vectors(report, degree, [candidate])[0]
+
+
+def _chain_vectors(
+    report: HomologyReport, degree: int, candidates: Sequence[Mapping[str, int] | Chain]
+) -> list[list[int]]:
+    """Each candidate as its coefficient vector over the degree's generators, by one label -> position map."""
     labels = report.labels[degree]
-    items = candidate.items() if isinstance(candidate, Mapping) else candidate
-    vector = [0] * len(labels)
-    for label, coeff in items:
-        if label not in labels:
-            raise UnknownGeneratorError(f"{label!r} is not a degree-{degree} generator of {report.group_name}")
-        if type(coeff) is not int:
-            raise TypeError(f"coefficient of {label!r} is {type(coeff).__name__} ({coeff!r}), not int")
-        vector[labels.index(label)] += coeff
-    return vector
+    position = {label: i for i, label in enumerate(labels)}
+    vectors = []
+    for candidate in candidates:
+        vector = [0] * len(labels)
+        for label, coeff in candidate.items() if isinstance(candidate, Mapping) else candidate:
+            try:
+                i = position[label]
+            except (KeyError, TypeError):  # an unhashable label is no generator either
+                message = f"{label!r} is not a degree-{degree} generator of {report.group_name}"
+                raise UnknownGeneratorError(message) from None
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient of {label!r} is {type(coeff).__name__} ({coeff!r}), not int")
+            vector[i] += coeff
+        vectors.append(vector)
+    return vectors
 
 
 def verify_basis(
@@ -209,7 +203,7 @@ def verify_basis(
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")
-    vectors = [chain_vector(report, degree, c) for c in candidates]
+    vectors = _chain_vectors(report, degree, candidates)
     n, cols = len(report.labels[degree]), len(vectors)
 
     differential = {1: report.d1, 2: report.d2}.get(degree)

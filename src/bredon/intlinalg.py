@@ -134,14 +134,13 @@ class IntegerMatrix:
 class SNFDecomposition:
     """D = P*A*Q with P, Q unimodular; D diagonal with a divisibility chain.
 
-    ``kernel`` reads ker(A) off Q and ``cokernel`` coker(A) off P_inv, so
-    one reduction of A answers both.  The reduction logs its row and column
-    operations; each of P, P_inv, Q and Q_inv is built on first read by
-    replaying its log in reverse (see ``_replay``) and cached, so a caller
-    pays only for the transforms it reads; D is built from the invariant
-    factors, also on first read.  ``kernel``, ``cokernel`` and
-    ``kernel_with_coordinates`` replay only the columns of Q and P_inv, or
-    rows of Q_inv and P, that they return, and are not cached.
+    One reduction of A answers both ``kernel`` and ``cokernel``, each a
+    ``Presentation``.  The reduction logs its row and column operations;
+    each of P, P_inv, Q and Q_inv is built on first read by replaying its
+    log in reverse (see ``_replay``) and cached, so a caller pays only for
+    the transforms it reads; D is built from the invariant factors, also on
+    first read.  ``kernel`` and ``cokernel`` replay, in one walk of a log,
+    only the columns and rows they return, and are not cached.
     """
 
     def __init__(self, matrix: IntegerMatrix, invariant_factors: tuple[int, ...], row_ops: list, col_ops: list) -> None:
@@ -173,40 +172,32 @@ class SNFDecomposition:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
-    def kernel(self) -> IntegerMatrix:
-        """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
-        return _replay(self.col_ops, self.matrix.cols, (False, False), first=self.rank)[0]
+    def kernel(self) -> "Presentation":
+        """ker(A), free: Q's columns and Q_inv's rows from the rank on."""
+        return Presentation((), *_replay(self.col_ops, self.matrix.cols, (False, False), (True, True), first=self.rank))
 
-    def kernel_with_coordinates(self) -> tuple[IntegerMatrix, IntegerMatrix]:
-        """``kernel`` and the last n-k rows of Q_inv, which send a vector of
-        ker(A) to its coordinates in that basis, from one walk of the log."""
-        return tuple(_replay(self.col_ops, self.matrix.cols, (False, False), (True, True), first=self.rank))
-
-    def cokernel(self) -> "CokernelPresentation":
+    def cokernel(self) -> "Presentation":
+        """coker(A): P_inv's columns and P's rows from the rank less the torsion count on."""
         # The factors > 1 end the divisibility chain, so they are the last t before the rank.
         torsion = tuple(d for d in self.invariant_factors if d > 1)
-        t, m = len(torsion), self.matrix.rows
-        generators, coordinates = _replay(self.row_ops, m, (True, False), (False, True), first=self.rank - t)
-        return CokernelPresentation(
-            torsion=torsion,
-            free_rank=m - self.rank,
-            torsion_generators=generators.take_columns(range(t)),
-            free_generators=generators.take_columns(range(t, generators.cols)) if t else generators,
-            coordinates=coordinates,
-        )
+        first = self.rank - len(torsion)
+        return Presentation(torsion, *_replay(self.row_ops, self.matrix.rows, (True, False), (False, True), first=first))
 
 
-class CokernelPresentation(namedtuple("CokernelPresentation", "torsion free_rank torsion_generators free_generators coordinates")):
-    """coker(A) = Z^free_rank x prod Z/d for the torsion chain d.
+class Presentation(namedtuple("Presentation", "torsion generators coordinates")):
+    """Z/d_1 + ... + Z/d_t + Z^free_rank, for the torsion chain d, on vectors of Z^m.
 
-    Generator vectors live in the codomain Z^m: ``free_generators`` are the
-    last m-k columns of P_inv, ``torsion_generators`` the P_inv columns at
-    the positions of invariant factors > 1.  ``coordinates``, the matching
-    rows of P, sends a vector of Z^m to its class, row i < t modulo the i-th
-    torsion factor; times the generators, torsion then free, it is the identity.
+    ``generators`` has a column in Z^m per invariant, torsion first.
+    ``coordinates``, the matching rows, sends a vector to its class, row
+    i < t modulo d_i, so ``coordinates @ generators`` is the identity.  The
+    vectors are those of ker(A) for a kernel, all of Z^m for a cokernel.
     """
 
     __slots__ = ()
+
+    @property
+    def free_rank(self) -> int:
+        return self.generators.cols - len(self.torsion)
 
 
 class _DenseRows:

@@ -18,7 +18,7 @@ on the homology path of the built-in groups.
 
 from collections.abc import Iterable
 
-from bredon.intlinalg import CokernelPresentation, IntegerMatrix, smith_normal_form
+from bredon.intlinalg import IntegerMatrix, Presentation, smith_normal_form
 
 
 def zeros(rows: int, cols: int) -> IntegerMatrix:
@@ -54,10 +54,10 @@ def col(m: IntegerMatrix, j: int) -> tuple[int, ...]:
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Columns form a lattice basis of ker(A): the last n-k columns of Q."""
-    return smith_normal_form(a).kernel()
+    return smith_normal_form(a).kernel().generators
 
 
-def cokernel(a: IntegerMatrix) -> CokernelPresentation:
+def cokernel(a: IntegerMatrix) -> Presentation:
     return smith_normal_form(a).cokernel()
 
 

@@ -186,6 +186,8 @@ def test_every_computed_generator_is_needed(reports, name, degree):
 def test_unknown_label_raises(reports):
     with pytest.raises(UnknownGeneratorError):
         verify_basis(reports["p2"], 0, [{"alpha_9^9": 1}])
+    with pytest.raises(UnknownGeneratorError):  # an unhashable label names no generator either
+        verify_basis(reports["p2"], 0, [((["alpha_0^1"], 1),)])
 
 
 @pytest.mark.parametrize(

@@ -225,7 +225,7 @@ def test_cokernel_examples():
 
     cok = cokernel(IntegerMatrix.from_rows([[2]]))
     assert cok.free_rank == 0 and cok.torsion == (2,)
-    assert cok.torsion_generators.cols == 1
+    assert cok.generators.cols == 1
 
     # torsion chain: Z^2 / <(2,0),(0,4)> = Z/2 x Z/4
     cok = cokernel(IntegerMatrix.from_rows([[2, 0], [0, 4]]))
@@ -238,7 +238,7 @@ def test_cokernel_generators_project_to_basis():
     a = IntegerMatrix.from_rows([[2], [1], [1]])
     cok = cokernel(a)
     assert cok.free_rank == 2 and cok.torsion == ()
-    stacked = hstack(a, cok.free_generators)
+    stacked = hstack(a, cok.generators)
     assert abs(cofactor_det(stacked)) == 1
 
 
@@ -307,10 +307,10 @@ def test_solve_roundtrip(a, data):
 @given(matrices())
 def test_decomposition_reads_kernel_and_cokernel(a):
     snf = smith_normal_form(a)
-    assert snf.kernel() == kernel_basis(a)
+    assert snf.kernel().generators == kernel_basis(a)
     assert snf.cokernel() == cokernel(a)
-    assert (a @ snf.kernel()).is_zero()
-    assert snf.kernel().cols + snf.rank == a.cols
+    assert (a @ snf.kernel().generators).is_zero()
+    assert snf.kernel().free_rank + snf.rank == a.cols and snf.kernel().torsion == ()
 
 
 @st.composite
@@ -365,16 +365,18 @@ def shaped_matrices(draw, max_dim=8):
 def test_restricted_replays_are_slices_of_the_full_transforms(a):
     snf = smith_normal_form(a)
     m, n, k = a.rows, a.cols, snf.rank
-    kernel, coordinates = snf.kernel_with_coordinates()  # one walk of the column log
-    assert kernel == snf.kernel() == snf.Q.take_columns(range(k, n))
-    assert coordinates == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
-    cok = snf.cokernel()
+    kernel = snf.kernel()  # one walk of the column log
+    assert kernel.torsion == () and kernel.generators == snf.Q.take_columns(range(k, n))
+    assert kernel.coordinates == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
+    assert kernel.coordinates @ kernel.generators == identity(n - k)
+    cok = snf.cokernel()  # one walk of the row log
     torsion_positions = [i for i, d in enumerate(snf.invariant_factors) if d > 1]
     assert cok.torsion == tuple(snf.invariant_factors[i] for i in torsion_positions)
-    assert cok.torsion_generators == snf.P_inv.take_columns(torsion_positions)
-    assert cok.free_generators == snf.P_inv.take_columns(range(k, m))
+    # P_inv's torsion columns, then its free ones
+    assert cok.generators == snf.P_inv.take_columns(torsion_positions + list(range(k, m)))
     t = len(torsion_positions)
     assert cok.coordinates == IntegerMatrix(m - k + t, m, snf.P.nonzeros[k - t :])
+    assert cok.coordinates @ cok.generators == identity(m - k + t)
     # every first column, for all four transforms, each alone and all in one walk: columns of
     # the untransposed product
     for log, size in ((snf.row_ops, m), (snf.col_ops, n)):

@@ -344,7 +344,7 @@ def test_image_of_d2_in_kernel_coordinates_is_a_row_slice(reports, name):
     d1, d2 = reports[name].d1, reports[name].d2
     snf = smith_normal_form(d1)
     n, k = d1.cols, snf.rank
-    coordinates = snf.kernel_with_coordinates()[1]
+    coordinates = snf.kernel().coordinates
     assert coordinates == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
     assert coordinates @ d2 == solve_integer(kernel_basis(d1), d2)
 
