@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 
 from . import chartab
 from .intlinalg import IntegerMatrix
@@ -70,11 +72,12 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
         with one irreducible gives the bare label stem, else ^k is appended
         (1-based).  An orbit whose dimension is not an ``int`` in 0..2, or
         whose stabilizer is unknown, belongs to no chain group; any orbit
-        violation ends the pass before the terms are checked.  Each valid term
-        adds sign times the nonzeros of its embedding's induction matrix to the
-        rows of its block; terms that cancel (same orbit pair and embedding,
-        opposite signs) leave no entry.  Where no other check fails, the last
-        is d1·d2 = 0.
+        violation ends the pass before the terms are checked.  Each known
+        embedding id is looked up once, with its induction matrix, and each term
+        reports its own violations.  Each valid term adds sign times the nonzeros
+        of that matrix to the rows of its block; terms that cancel (same orbit pair
+        and embedding, opposite signs) leave no entry.  Where no other check fails,
+        the last is d1·d2 = 0.
         """
         labels: tuple[list[str], ...] = ([], [], [])
         offsets: tuple[dict[str, int], ...] = ({}, {}, {})
@@ -104,30 +107,34 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
             violations.append("generator labels are not unique")
         # data[d]: the rows of d_d, one per generator of C_{d-1}
         data: tuple[list[dict[int, int]], ...] = ([], [{} for _ in labels[0]], [{} for _ in labels[1]])
+        induced: dict = {}  # embedding id -> (embedding, its induction matrix's nonzero rows); known ids only
+        where = "boundary term {0.source}->{0.target}: {1}".format  # formatted only for a violation
         for term in self.boundary:
-            where = f"boundary term {term.source}->{term.target}"
             if (src := orbits.get(term.source)) is None or (tgt := orbits.get(term.target)) is None:
-                violations.append(f"{where}: references a missing orbit")
+                violations.append(where(term, "references a missing orbit"))
                 continue
             if src.dimension != tgt.dimension + 1:
-                violations.append(f"{where}: dimensions {src.dimension}->{tgt.dimension} are not consecutive")
+                violations.append(where(term, f"dimensions {src.dimension}->{tgt.dimension} are not consecutive"))
                 continue
             found = len(violations)
             if type(term.sign) is not int or term.sign not in (1, -1):
-                violations.append(f"{where}: sign must be +1 or -1")
-            try:
-                emb = chartab.get_embedding(term.embedding)
-            except chartab.CharacterTableError:
-                violations.append(f"{where}: unknown embedding {term.embedding!r}")
-                continue
+                violations.append(where(term, "sign must be +1 or -1"))
+            if (emb_rows := induced.get(term.embedding)) is None:
+                try:
+                    emb = chartab.get_embedding(term.embedding)
+                except chartab.CharacterTableError:
+                    violations.append(where(term, f"unknown embedding {term.embedding!r}"))
+                    continue
+                emb_rows = induced[term.embedding] = (emb, chartab.induction_matrix(emb).nonzeros)
+            emb, induction = emb_rows
             if emb.sub != src.stabilizer:
-                violations.append(f"{where}: embedding {term.embedding} has sub {emb.sub}, stabilizer is {src.stabilizer}")
+                violations.append(where(term, f"embedding {term.embedding} has sub {emb.sub}, stabilizer is {src.stabilizer}"))
             if emb.sup != tgt.stabilizer:
-                violations.append(f"{where}: embedding {term.embedding} has sup {emb.sup}, stabilizer is {tgt.stabilizer}")
+                violations.append(where(term, f"embedding {term.embedding} has sup {emb.sup}, stabilizer is {tgt.stabilizer}"))
             if len(violations) == found:
                 d, sign = src.dimension, term.sign
                 rows, c0 = data[d], offsets[d][term.source]
-                for i, row in enumerate(chartab.induction_matrix(emb).nonzeros, offsets[d - 1][term.target]):
+                for i, row in enumerate(induction, offsets[d - 1][term.target]):
                     target = rows[i]
                     for j, v in row.items():
                         if x := target.get(c0 + j, 0) + sign * v:
@@ -197,12 +204,11 @@ def from_json_dict(data: dict) -> EquivariantComplex:
     from . import schemas
 
     schemas.check(data, "complex")
+    # one C-level pass per list: ``tuple.__new__`` is what ``_make`` calls, less its length check (always 4 here)
+    orbits = map(itemgetter("id", "dim", "stabilizer", "label"), data["orbits"])
+    terms = map(itemgetter("source", "target", "sign", "embedding"), data["boundary"])
     return EquivariantComplex(
-        group_name=data["group"],
-        orbits=tuple(
-            CellOrbit(o["id"], o["dim"], o["stabilizer"], o["label"]) for o in data["orbits"]
-        ),
-        boundary=tuple(
-            BoundaryTerm(t["source"], t["target"], t["sign"], t["embedding"]) for t in data["boundary"]
-        ),
+        data["group"],
+        tuple(map(tuple.__new__, repeat(CellOrbit), orbits)),
+        tuple(map(tuple.__new__, repeat(BoundaryTerm), terms)),
     )

@@ -5,13 +5,18 @@ Each format is declared as data shaped like the document it accepts: a
 dict is an object with exactly those keys, a list an array of its one
 item spec, ``str`` and ``int`` the JSON types (``int`` admits neither
 ``true``/``false`` nor floats such as ``2.0``), a ``range`` an integer
-interval and a tuple the allowed values.  An array of arrays is a matrix:
-every row must be as long as the first.  A predicate compiled from the spec
-on first use accepts a valid document in one pass; only a rejected one is
-walked level by level, so the violation reported is the one closest to the root.
+interval and a tuple the allowed values, all of one type.  An array of
+arrays is a matrix: every row must be as long as the first.  A predicate
+compiled from the spec on first use accepts a valid document in C-level
+passes over whole columns (every orbit's ``dim``, every matrix entry); only
+a rejected one is walked level by level, so the violation reported is the
+one closest to the root.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
+from operator import itemgetter
 
 from . import chartab
 from .intlinalg import IntegerMatrix
@@ -98,23 +103,25 @@ def _children(path: tuple, value, spec) -> list:
 
 
 def _accepts(spec):
-    """A predicate true exactly when ``_explain`` finds no violation of ``spec``:
-    one pass that builds no path or message, never raises and never looks
-    deeper than ``spec`` (an enum hashes only values of its own types)."""
+    """A predicate over a column (a list of values), true exactly when ``_explain`` finds no violation of
+    ``spec`` in any of them: C-level passes over the column, then over one column per field, or of all items.
+    It builds no path or message, never raises and never looks deeper than ``spec``; a leaf tests the types
+    before the values, so that no other value is hashed and ``True`` never passes for ``1``."""
     if isinstance(spec, tuple):
-        allowed = {type(value): {v for v in spec if type(v) is type(value)} for value in spec}
-        return lambda value: value in allowed.get(type(value), ())
+        types, allowed = set(map(type, spec)), set(spec)
+        return lambda col: set(map(type, col)) <= types and set(col) <= allowed
     if spec is int or isinstance(spec, range):
-        return lambda value: type(value) is int and (spec is int or value in spec)
+        return lambda col: set(map(type, col)) <= {int} and (spec is int or all(map(spec.__contains__, col)))
     if isinstance(spec, type):
-        return lambda value: isinstance(value, spec)
+        return lambda col: all(map(isinstance, col, repeat(spec)))
     if isinstance(spec, dict):
-        keys, fields = spec.keys(), [(key, _accepts(item)) for key, item in spec.items()]
-        return lambda value: isinstance(value, dict) and value.keys() == keys and all([ok(value[key]) for key, ok in fields])
-    least, rows, item = int(isinstance(spec, _NonEmpty)), isinstance(spec[0], list), _accepts(spec[0])
-    return lambda value: isinstance(value, list) and len(value) >= least and all(map(item, value)) and not (
-        rows and value and type(value[0]) is list and len(set(map(len, value))) > 1  # a matrix: rows as long as the first
-    )
+        keys, fields = spec.keys(), [(itemgetter(key), _accepts(item)) for key, item in spec.items()]
+        objects = lambda col: all(map(isinstance, col, repeat(dict))) and all(map(keys.__eq__, map(dict.keys, col)))
+        return lambda col: objects(col) and all([ok(list(map(field, col))) for field, ok in fields])
+    least, rows, item = isinstance(spec, _NonEmpty), isinstance(spec[0], list), _accepts(spec[0])
+    arrays = lambda col: all(map(isinstance, col, repeat(list))) and (not least or all(col))
+    ragged = lambda col: rows and any(v and type(v[0]) is list and len(set(map(len, v))) > 1 for v in col)  # a matrix
+    return lambda col: arrays(col) and item(list(chain.from_iterable(col))) and not ragged(col)
 
 
 def check(data, what: str) -> None:
@@ -122,7 +129,7 @@ def check(data, what: str) -> None:
     ``data`` is a valid ``what`` (``"complex"`` or ``"matrix"``); ``<path>``
     joins the JSON keys and indices with ``/``, ``(root)`` for the document."""
     accept = _ACCEPT.get(what) or _ACCEPT.setdefault(what, _accepts(_FORMATS[what]))
-    if not accept(data):
+    if not accept([data]):
         _explain(data, what)
 
 

@@ -118,7 +118,7 @@ def _agree(document, what: str) -> bool:
         walked = True
     except schemas.SchemaError:
         walked = False
-    assert schemas._accepts(schemas._FORMATS[what])(document) is walked
+    assert schemas._accepts(schemas._FORMATS[what])([document]) is walked  # a column of one, as ``check`` calls it
     return walked
 
 
@@ -148,6 +148,22 @@ def _deep(levels: int) -> list:
     return value
 
 
+_ODD = ([], {}, [1], {"C1": 1}, 1.0, True, _deep(100_000))
+_MISSING = object()
+
+
+def _on_last(part: str, key: str, value) -> dict:
+    """The first built-in complex with ``key`` set to ``value`` (or deleted) on the last of its orbits or
+    terms only: a column predicate must find a fault that follows valid items in the same column."""
+    document = copy.deepcopy(COMPLEXES[0])
+    last = document[part][-1]
+    if value is _MISSING:
+        del last[key]
+    else:
+        last[key] = value
+    return document
+
+
 @pytest.mark.parametrize(
     "document, what, valid",
     [
@@ -156,10 +172,22 @@ def _deep(levels: int) -> list:
         *[
             ({**COMPLEXES[0], part: [{**COMPLEXES[0][part][0], key: odd}]}, "complex", False)
             for part, key in (("orbits", "dim"), ("orbits", "stabilizer"), ("boundary", "sign"))
-            for odd in ([], {}, [1], {"C1": 1}, 1.0, True, _deep(100_000))
+            for odd in _ODD
         ],
         ([[1, _deep(100_000)]], "matrix", False),
         ({**COMPLEXES[0], "group": _deep(100_000)}, "complex", False),
+        # a fault on the last item of a column, after valid ones
+        *[
+            (_on_last(part, key, odd), "complex", False)
+            for part, key in (("orbits", "dim"), ("orbits", "stabilizer"), ("boundary", "sign"))
+            for odd in _ODD
+        ],
+        *[(_on_last(part, "extra", 1), "complex", False) for part in ("orbits", "boundary")],
+        *[(_on_last(part, key, _MISSING), "complex", False) for part, key in (("orbits", "label"), ("boundary", "embedding"))],
+        (_on_last("boundary", "sign", 1), "complex", True),
+        ({**COMPLEXES[0], "orbits": []}, "complex", False),
+        *[([[1, 2]] * 50 + [row], "matrix", False) for row in ([3], [3, 4, 5], [True, 4], [3, 4.0])],
+        ([[1, 2]] * 50 + [[3, 4]], "matrix", True),
     ],
 )
 def test_predicate_agrees_with_walk_on_edge_cases(document, what, valid):

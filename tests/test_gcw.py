@@ -1,7 +1,7 @@
 
 import pytest
 
-from bredon import chartab, wallpaper
+from bredon import chartab, schemas, wallpaper
 from bredon.gcw import (
     BoundaryTerm,
     CellOrbit,
@@ -17,6 +17,7 @@ from bredon.gcw import (
 from bredon.intlinalg import IntegerMatrix
 from bredon.schemas import SchemaError
 from snf_helpers import col
+from subdivision import subdivided_group
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -230,6 +231,23 @@ VIOLATIONS = {
         (BoundaryTerm("e", "v", 1, "C1->C1"), BoundaryTerm("f", "e", 1, "C1->C1")),
         ["differentials do not compose to zero"],
     ),
+    # an embedding id is looked up once, but each term that uses it reports its own violations, in term order
+    "repeated ids": (
+        (E, E._replace(orbit_id="e2", stabilizer="C2", label="beta_2"), F),
+        (
+            BoundaryTerm("f", "e", 1, "C1->C1"),
+            BoundaryTerm("f", "e2", 1, "C1->C1"),
+            BoundaryTerm("f", "e", 1, "C1->C5"),
+            BoundaryTerm("f", "e2", 2, "C1->C5"),
+            BoundaryTerm("f", "e2", 1, "C1->C2"),
+        ),
+        [
+            "boundary term f->e2: embedding C1->C1 has sup C1, stabilizer is C2",
+            "boundary term f->e: unknown embedding 'C1->C5'",
+            "boundary term f->e2: sign must be +1 or -1",
+            "boundary term f->e2: unknown embedding 'C1->C5'",
+        ],
+    ),
 }
 
 
@@ -266,25 +284,28 @@ def test_second_differentials_reads_no_embedding(monkeypatch):
     looked_up = []
     get_embedding = chartab.get_embedding
     monkeypatch.setattr(chartab, "get_embedding", lambda emb_id: looked_up.append(emb_id) or get_embedding(emb_id))
-    complex = cx("pmm")._replace()  # a fresh, unread layout looks up each term's embedding once
+    complex = cx("pmm")._replace()  # a fresh, unread layout looks up each embedding id once, not once per term
     first = differentials(complex)
-    assert len(looked_up) == len(complex.boundary) == 12
+    assert len(complex.boundary) == 12
+    assert sorted(looked_up) == ["C1->C2", "C2->D2[a]", "C2->D2[b]"]
     assert differentials(complex) == first
-    assert len(looked_up) == 12
+    assert len(looked_up) == 3
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip
 
 
-@pytest.mark.parametrize("name", ALL_GROUPS)
+@pytest.mark.parametrize("name", ALL_GROUPS + [f"{group}-sub240" for group in ALL_GROUPS])
 def test_json_roundtrip(name):
-    original = cx(name)
-    data = to_json_dict(original)
+    # 240 edge subdivisions give columns of about 485 orbits and 729 to 972 terms
+    group, _, steps = name.partition("-sub")
+    data = subdivided_group(group, int(steps)) if steps else to_json_dict(cx(group))
+    assert schemas.check(data, "complex") is None
     loaded = from_json_dict(data)
-    assert loaded.group_name == original.group_name
-    assert loaded.orbits == original.orbits
-    assert loaded.boundary == original.boundary
+    assert to_json_dict(loaded) == data
+    assert {type(o) for o in loaded.orbits} == {CellOrbit} and {type(t) for t in loaded.boundary} == {BoundaryTerm}
+    assert steps or loaded == cx(group)  # group name, orbits and terms, compared field by field
     assert validate(loaded) == []
 
 

@@ -6,7 +6,9 @@ layout, and a later call on the same object reduces nothing.
 Counts are taken by patching ``intlinalg._reduce`` (one call per Smith
 normal form, on either row storage), ``gcw.IntegerMatrix`` (the layout
 pass builds one per differential it assembles), and ``chartab.induction_matrix``
-and ``chartab.build_table`` (the lookups made from ``gcw``); the transforms
+and ``chartab.build_table`` (the lookups made from ``gcw``: one induction
+matrix per distinct embedding id of a complex, not one per boundary term,
+and one table per orbit); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
 counted by patching ``intlinalg._replay``, keyed by the transforms one walk
 of a log builds and the first column they keep.  ``compute_homology``
@@ -103,8 +105,9 @@ def fresh_builtins(monkeypatch):
     monkeypatch.setattr(wallpaper, "get_group", lru_cache(wallpaper.get_group.__wrapped__))
 
 
-def terms(*names: str) -> int:
-    return sum(len(wallpaper.get_group(name)[0].boundary) for name in names)
+def embeddings(*names: str) -> int:
+    """The induction matrices the layouts of these built-in groups look up: one per distinct embedding id of each."""
+    return sum(len({term.embedding for term in wallpaper.get_group(name)[0].boundary}) for name in names)
 
 
 #: The transform each (inverse, transposed) replay of ``intlinalg._replay`` builds.
@@ -139,8 +142,8 @@ def test_compute_homology_runs_three_snfs_and_two_assemblies(tally, name):
         assert validate(complex) == []
         compute_homology(complex)
         # the first call reduces d1, d2 and the H_1 matrix, and the first read of the layout
-        # assembles d1 and d2, looking up each term's induction matrix once; the second reuses both
-        assert tally == {"snf": 3, "assemble": 2, "induction": len(complex.boundary)}
+        # assembles d1 and d2, looking up each embedding's induction matrix once; the second reuses both
+        assert tally == {"snf": 3, "assemble": 2, "induction": embeddings(name)}
 
 
 def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
@@ -148,7 +151,7 @@ def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
     path.write_text(gcw.to_json(wallpaper.get_group("pmm")[0]), encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["dump", "--from-file", str(path), "--format", "json"]) == 0
-    assert tally == {"snf": 3, "assemble": 2, "induction": terms("pmm")}
+    assert tally == {"snf": 3, "assemble": 2, "induction": embeddings("pmm")}
 
 
 def test_verify_computes_each_group_once(tally, fresh_builtins):
@@ -158,7 +161,8 @@ def test_verify_computes_each_group_once(tally, fresh_builtins):
     # the first run reduces each group (3 SNFs) and assembles its d1 and d2, and the second
     # reuses its report; each run checks an H_1 and an H_0 basis per group, with one SNF each
     groups = len(ALL_GROUPS)
-    assert tally == {"snf": 3 * groups + 2 * (2 * groups), "assemble": 2 * groups, "induction": terms(*ALL_GROUPS)}
+    assert embeddings(*ALL_GROUPS) == 56  # of 154 boundary terms
+    assert tally == {"snf": 3 * groups + 2 * (2 * groups), "assemble": 2 * groups, "induction": embeddings(*ALL_GROUPS)}
 
 
 def test_verify_table3_computes_no_homology(tally):
@@ -171,7 +175,7 @@ def test_show_snf_reads_the_report(tally, fresh_builtins):
     for _ in range(2):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["compute", "p4m", "--show-differentials", "--show-snf"]) == 0
-        assert tally == {"snf": 3, "assemble": 2, "induction": terms("p4m")}
+        assert tally == {"snf": 3, "assemble": 2, "induction": embeddings("p4m")}
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
