@@ -1,14 +1,14 @@
 """Two-dimensional equivariant cell structures and their chain differentials.
 
-A complex is purely combinatorial data: orbits of cells carrying a
-stabilizer group, and signed boundary terms each carrying the class-level
-embedding of the source stabilizer into the target stabilizer.  The
-degree-d chain group is the direct sum of the representation rings of the
-d-cell stabilizers; the differential assembles blockwise from signed
-induction matrices.  Generator labels follow the alpha/beta/gamma naming
-of the cell dimension, with the irreducible index as superscript.  A complex
-is checked and its differentials assembled once, in the pass that derives
-its chain layout; ``assemble_differential``, ``differentials`` and
+A complex is purely combinatorial data: orbits of cells, any number in each
+dimension, carrying a stabilizer group, and signed boundary terms each
+carrying the class-level embedding of the source stabilizer into the target
+stabilizer.  The degree-d chain group is the direct sum of the representation
+rings of the d-cell stabilizers; the differential assembles blockwise from
+signed induction matrices.  Generator labels follow the alpha/beta/gamma
+naming of the cell dimension, with the irreducible index as superscript.  A
+complex is checked and its differentials assembled once, in the pass that
+derives its chain layout; ``assemble_differential``, ``differentials`` and
 ``validate`` only read that layout, and the first two refuse a complex with
 any violation.  ``homology.compute_homology`` keeps the report beside it.
 """
@@ -101,8 +101,6 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
             return ChainLayout(labels, None, violations)
 
         # Orbit ids are unique and every stabilizer is known from here on.
-        if len(offsets[2]) != 1:
-            violations.append(f"expected exactly one orbit of 2-cells, found {len(offsets[2])}")
         if len(set(names := [name for degree in labels for name in degree])) != len(names):
             violations.append("generator labels are not unique")
         # data[d]: the rows of d_d, one per generator of C_{d-1}

@@ -1,16 +1,17 @@
 """Homology of an equivariant chain complex, with explicit labeled bases.
 
-One uniform algorithm serves every complex, reducing each differential once
-per complex, and reads every group as an ``intlinalg.Presentation``: its
+One uniform algorithm serves every complex, with two reductions per
+complex, and reads every group as an ``intlinalg.Presentation``: its
 torsion chain, a generator column per invariant and the matching coordinate
 rows, which send a cycle to its class in Z/d_1 + ... + Z/d_t + Z^f.
 D1 = P1*d1*Q1 of rank k gives H0 = coker d1 and the kernel k1 of d1, the
-columns of Q1 and rows of Q1^-1 from k on; the decomposition of d2 gives
-H2 = ker d2.  As Q1 is unimodular and d1*d2 = 0, the image of d2 in the
-kernel basis is k1's coordinates times d2, and H1 is its cokernel: its
-generators return to chains through k1's generators, and its coordinates
-are the cokernel's times k1's.  One builder turns each presentation into a
-group over the generator labels, torsion generators first.
+columns of Q1 and rows of Q1^-1 from k on.  As Q1 is unimodular and
+d1*d2 = 0, d2 in the kernel basis is K = k1's coordinates times d2, with
+d2's kernel and invariant factors.  The decomposition of K gives both
+H1 = coker K, whose generators return to chains through k1's generators and
+whose coordinates are the cokernel's times k1's, and H2 = ker K = ker d2.
+One builder turns each presentation into a group over the generator labels,
+torsion generators first.
 
 ``verify_basis`` checks a candidate family of labeled chains against a
 computed group: every candidate must be a cycle and the candidates'
@@ -112,15 +113,16 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
 def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
     d1, d2 = differentials(complex)
     labels = complex.layout.labels
-    snf1, snf2 = smith_normal_form(d1), smith_normal_form(d2)
+    snf1 = smith_normal_form(d1)
     h0 = _group(0, labels[0], snf1.cokernel())
-    # H1 is the cokernel of im d2 in the coordinates of the kernel basis of d1:
-    # its generators return to chains through that basis, and a cycle's class
-    # is the cokernel coordinates of its kernel coordinates.
+    # One reduction of K = k1.coordinates @ d2 serves H_1 = coker K and H_2: D1 = P1*d1*Q1 and d1*d2 = 0
+    # force the first rank(d1) rows of Q1^-1*d2 to be zero, the remaining rows are K, and Q1^-1 is
+    # unimodular, so ker K = ker d2 and K has d2's invariant factors (no SNF of d2 alone is needed).
     k1 = snf1.kernel()
-    cok = smith_normal_form(k1.coordinates @ d2).cokernel()
+    snf_k = smith_normal_form(k1.coordinates @ d2)
+    cok = snf_k.cokernel()
     h1 = _group(1, labels[1], Presentation(cok.torsion, k1.generators @ cok.generators, cok.coordinates @ k1.coordinates))
-    h2 = _group(2, labels[2], snf2.kernel())
+    h2 = _group(2, labels[2], snf_k.kernel())
     return HomologyReport(
         group_name=complex.group_name,
         groups=(h0, h1, h2),
@@ -128,7 +130,7 @@ def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
         d1=d1,
         d2=d2,
         invariant_factors_d1=snf1.invariant_factors,
-        invariant_factors_d2=snf2.invariant_factors,
+        invariant_factors_d2=snf_k.invariant_factors,
     )
 
 

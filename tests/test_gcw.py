@@ -14,10 +14,11 @@ from bredon.gcw import (
     to_json_dict,
     validate,
 )
+from bredon.homology import basis_cell, compute_homology, verify_basis
 from bredon.intlinalg import IntegerMatrix
 from bredon.schemas import SchemaError
 from snf_helpers import col
-from subdivision import subdivided_group
+from subdivision import subdivided_group, torus_grid
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -159,15 +160,6 @@ def test_duplicate_orbit_rejected():
     assert any("duplicate" in v for v in validate(mutated))
 
 
-def test_two_cell_count_enforced():
-    mutated = EquivariantComplex(
-        "broken",
-        (CellOrbit("e1", 1, "C1", "beta"), CellOrbit("e0", 0, "C1", "alpha")),
-        (BoundaryTerm("e1", "e0", 1, "C1->C1"), BoundaryTerm("e1", "e0", -1, "C1->C1")),
-    )
-    assert any("exactly one orbit of 2-cells" in v for v in validate(mutated))
-
-
 def test_missing_orbit_reference_detected():
     mutated = EquivariantComplex(
         "broken",
@@ -206,7 +198,6 @@ VIOLATIONS = {
     "duplicate id": ((F, F), (), ["duplicate orbit id 'f'"]),
     "dimension": ((F._replace(dimension=3),), (), ["orbit f: dimension 3 out of range"]),
     "stabilizer": ((F._replace(stabilizer="C7"),), (), ["orbit f: unknown stabilizer 'C7'"]),
-    "two-cells": ((V,), (), ["expected exactly one orbit of 2-cells, found 0"]),
     "labels": ((V._replace(label="gamma"), F), (), ["generator labels are not unique"]),
     "missing": ((F,), (BoundaryTerm("f", "nowhere", 1, "C1->C1"),), ["boundary term f->nowhere: references a missing orbit"]),
     "consecutive": (
@@ -320,3 +311,44 @@ def test_from_json_rejects_malformed():
                 "boundary": [],
             }
         )
+
+
+# ---------------------------------------------------------------------------
+# Any number of 2-cell orbits: two cell structures of one group have one homology
+
+
+def homology_of(complex):
+    """The iso types of H_0, H_1, H_2, after checking that ``verify_basis`` accepts every engine basis."""
+    report = compute_homology(complex)
+    for degree, group in enumerate(report.groups):
+        assert verify_basis(report, degree, list(group.torsion_basis) + list(group.basis)), (degree, group)
+    return [group.iso_type() for group in report.groups]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_torus_grid_has_the_homology_of_p1(n):
+    grid = from_json_dict(torus_grid(n))
+    assert [len(grid.orbits_of_dimension(d)) for d in (0, 1, 2)] == [n * n, 2 * n * n, n * n]
+    assert {o.stabilizer for o in grid.orbits} == {"C1"}
+    assert validate(grid) == []
+    assert homology_of(grid) == homology_of(cx("p1")) == [(1, ()), (2, ()), (1, ())]
+
+
+def test_p1_without_its_two_cell():
+    p1 = cx("p1")
+    orbits = tuple(o for o in p1.orbits if o.dimension < 2)
+    bare = EquivariantComplex("p1", orbits, tuple(t for t in p1.boundary if t.source != "e2"))
+    assert validate(bare) == []
+    assert homology_of(bare) == [(1, ()), (2, ()), (0, ())]  # the wedge of two circles: d2 is 2x0
+
+
+def test_p1_with_a_second_two_cell_on_the_same_boundary():
+    p1 = cx("p1")
+    gamma_b = CellOrbit("e2b", 2, "C1", "gamma_b")
+    both = p1._replace(
+        orbits=p1.orbits + (gamma_b,),
+        boundary=p1.boundary + tuple(t._replace(source="e2b") for t in p1.boundary if t.source == "e2"),
+    )
+    assert validate(both) == []
+    assert homology_of(both) == [(1, ()), (2, ()), (2, ())]
+    assert basis_cell(compute_homology(both).group(2)) == "[gamma] [gamma_b]"

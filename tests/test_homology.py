@@ -3,7 +3,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from bredon import homology, reference, wallpaper
+from bredon import gcw, homology, reference, wallpaper
 from bredon.gcw import BoundaryTerm, CellOrbit, EquivariantComplex
 from bredon.homology import (
     UnknownGeneratorError,
@@ -12,8 +12,10 @@ from bredon.homology import (
     report_to_json_dict,
     verify_basis,
 )
+from bredon.intlinalg import smith_normal_form
 from report_schema import REPORT_SCHEMA
 from snf_helpers import column
+from subdivision import subdivided_group, torus_grid
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -93,7 +95,7 @@ def test_zero_differential_complex_is_free_on_generators():
 def test_invalid_complex_rejected():
     complex = EquivariantComplex(
         "broken",
-        (CellOrbit("f", 2, "C1", "gamma"), CellOrbit("f2", 2, "C1", "gamma2")),
+        (CellOrbit("f", 2, "C1", "gamma"), CellOrbit("f2", 2, "C1", "gamma")),
         (),
     )
     with pytest.raises(homology.InvalidComplexError):
@@ -106,6 +108,34 @@ def test_euler_violation_raises_a_named_error(monkeypatch):
         compute_homology(wallpaper.get_group("p1")[0])
     assert excinfo.value.chain_ranks == (1, 2, 1) and excinfo.value.free_ranks == (1, 2, 1)
     assert str(excinfo.value) == "Euler identity violated for p1: chain ranks [1, 2, 1], free ranks of H_0, H_1, H_2 [1, 2, 1]"
+
+
+# ---------------------------------------------------------------------------
+# One reduction of d2 in d1's kernel coordinates, checked against a reduction of d2 alone
+
+
+#: The built-ins (one 2-cell), their 240-step subdivisions, and torus grids of n^2 2-cells.
+REFERENCE_COMPLEXES = {
+    **{name: lambda name=name: wallpaper.get_group(name)[0] for name in ALL_GROUPS},
+    **{f"{name}-sub240": lambda name=name: gcw.from_json_dict(subdivided_group(name, 240)) for name in ALL_GROUPS},
+    **{f"torus-{n}": lambda n=n: gcw.from_json_dict(torus_grid(n)) for n in range(2, 7)},
+}
+
+
+@pytest.mark.parametrize("build", REFERENCE_COMPLEXES.values(), ids=REFERENCE_COMPLEXES)
+def test_h2_and_d2_invariants_match_a_reduction_of_d2_alone(build):
+    report = compute_homology(build())
+    reference_snf = smith_normal_form(report.d2)
+    assert report.invariant_factors_d2 == reference_snf.invariant_factors
+    generators = reference_snf.kernel().generators
+    reference_basis = [
+        [(label, row[j]) for label, row in zip(report.labels[2], generators.nonzeros) if j in row]
+        for j in range(generators.cols)
+    ]
+    h2 = report.group(2)
+    assert h2.torsion == () and h2.free_rank == generators.cols
+    assert verify_basis(report, 2, h2.basis)
+    assert verify_basis(report, 2, reference_basis)
 
 
 # ---------------------------------------------------------------------------

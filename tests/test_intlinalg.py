@@ -523,15 +523,13 @@ def test_an_assembly_drops_the_entries_that_cancel():
     from bredon.gcw import BoundaryTerm, CellOrbit, EquivariantComplex, assemble_differential
 
     # e meets v twice along the same embedding with opposite signs, so v's block
-    # of d1 is zero; e meets w once, along the identity of C2; f is the one
-    # orbit of 2-cells a valid complex needs
+    # of d1 is zero; e meets w once, along the identity of C2
     complex_ = EquivariantComplex(
         "cancelling",
         orbits=(
             CellOrbit("v", 0, "D2", "alpha_0"),
             CellOrbit("w", 0, "C2", "alpha_1"),
             CellOrbit("e", 1, "C2", "beta"),
-            CellOrbit("f", 2, "C1", "gamma"),
         ),
         boundary=(
             BoundaryTerm("e", "v", 1, "C2->D2[a]"),

@@ -1,7 +1,8 @@
-"""The engine reduces each differential once per complex, and assembles
-it once in the lifetime of its complex, in the one pass that derives the
-complex's chain layout: ``compute_homology`` keeps its report beside the
-layout, and a later call on the same object reduces nothing.
+"""The engine makes two reductions per complex, of d1 and of d2 in the
+coordinates of d1's kernel, and assembles each differential once in the
+lifetime of its complex, in the one pass that derives the complex's chain
+layout: ``compute_homology`` keeps its report beside the layout, and a
+later call on the same object reduces nothing.
 
 Counts are taken by patching ``intlinalg._reduce`` (one call per Smith
 normal form, on either row storage), ``gcw.IntegerMatrix`` (the layout
@@ -141,9 +142,9 @@ def test_compute_homology_runs_three_snfs_and_two_assemblies(tally, name):
     for _ in range(2):
         assert validate(complex) == []
         compute_homology(complex)
-        # the first call reduces d1, d2 and the H_1 matrix, and the first read of the layout
-        # assembles d1 and d2, looking up each embedding's induction matrix once; the second reuses both
-        assert tally == {"snf": 3, "assemble": 2, "induction": embeddings(name)}
+        # the first call reduces d1 and the H_1 matrix, which also gives H_2, and the first read of the
+        # layout assembles d1 and d2, looking up each embedding's induction matrix once; the second reuses both
+        assert tally == {"snf": 2, "assemble": 2, "induction": embeddings(name)}
 
 
 def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
@@ -151,18 +152,19 @@ def test_dump_from_file_assembles_each_differential_once(tally, tmp_path):
     path.write_text(gcw.to_json(wallpaper.get_group("pmm")[0]), encoding="utf-8")
     with redirect_stdout(io.StringIO()):
         assert cli.main(["dump", "--from-file", str(path), "--format", "json"]) == 0
-    assert tally == {"snf": 3, "assemble": 2, "induction": embeddings("pmm")}
+    assert tally == {"snf": 2, "assemble": 2, "induction": embeddings("pmm")}
 
 
 def test_verify_computes_each_group_once(tally, fresh_builtins):
     for _ in range(2):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify"]) == 1
-    # the first run reduces each group (3 SNFs) and assembles its d1 and d2, and the second
+    # the first run reduces each group (2 SNFs) and assembles its d1 and d2, and the second
     # reuses its report; each run checks an H_1 and an H_0 basis per group, with one SNF each
     groups = len(ALL_GROUPS)
     assert embeddings(*ALL_GROUPS) == 56  # of 154 boundary terms
-    assert tally == {"snf": 3 * groups + 2 * (2 * groups), "assemble": 2 * groups, "induction": embeddings(*ALL_GROUPS)}
+    assert tally == {"snf": 2 * groups + 2 * (2 * groups), "assemble": 2 * groups, "induction": embeddings(*ALL_GROUPS)}
+    assert tally["snf"] == 102
 
 
 def test_verify_table3_computes_no_homology(tally):
@@ -175,7 +177,7 @@ def test_show_snf_reads_the_report(tally, fresh_builtins):
     for _ in range(2):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["compute", "p4m", "--show-differentials", "--show-snf"]) == 0
-        assert tally == {"snf": 3, "assemble": 2, "induction": embeddings("p4m")}
+        assert tally == {"snf": 2, "assemble": 2, "induction": embeddings("p4m")}
 
 
 @pytest.mark.parametrize("degree", (0, 1, 2))
@@ -223,14 +225,14 @@ def test_a_copy_and_a_second_parse_are_reduced_again(tally):
     for copy in (complex._replace(), gcw.from_json_dict(data)):
         tally.clear()
         assert compute_homology(copy) == report and compute_homology(copy) is not report
-        assert tally["snf"] == 3
+        assert tally["snf"] == 2
 
 
 def test_an_invalid_complex_raises_on_every_call_and_keeps_nothing(tally):
     cm = wallpaper.get_group("cm")[0]
     bad_term = ("e1^0", "e0", 1)
     invalid = (
-        gcw.EquivariantComplex("broken", (gcw.CellOrbit("f", 2, "C1", "gamma"), gcw.CellOrbit("f2", 2, "C1", "g")), ()),
+        gcw.EquivariantComplex("broken", (gcw.CellOrbit("f", 2, "C1", "gamma"), gcw.CellOrbit("f2", 2, "C1", "gamma")), ()),
         cm._replace(
             boundary=tuple(
                 t._replace(embedding="C2->C2") if (t.source, t.target, t.sign) == bad_term else t for t in cm.boundary
@@ -277,10 +279,10 @@ def restricted_replays(report) -> Counter:
 
     d1 of rank k1: P_inv's columns and P's rows from k1 - t0, in one walk, for
     the generators and coordinates of H_0, then Q's columns and Q_inv's rows
-    from k1, in one walk, for its kernel and d2 in kernel coordinates; d2 of
-    rank k2: Q's columns and Q_inv's rows from k2 for the basis and
-    coordinates of H_2; the H_1 matrix of rank k: P_inv's columns and P's
-    rows from k - t1 for its cokernel.
+    from k1, in one walk, for its kernel and d2 in kernel coordinates; the H_1
+    matrix of rank k, which is d2's rank k2: P_inv's columns and P's rows from
+    k - t1 for its cokernel, and Q's columns and Q_inv's rows from k2 for the
+    basis and coordinates of H_2.
     """
     k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
     h0, h1 = report.group(0), report.group(1)

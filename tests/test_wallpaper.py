@@ -194,3 +194,37 @@ def test_orientable_groups_match_the_orbifold_closed_form(name, ranks):
     h0, h1, h2 = homology.compute_homology(wallpaper.get_group(name)[0]).groups
     assert (h0.free_rank + h2.free_rank, h1.free_rank) == ranks
     assert h0.torsion == h1.torsion == h2.torsion == ()
+
+
+def _mislin_ranks(symbol):
+    """rank H_0, H_1, H_2 of the group with orbifold symbol ``symbol``, from Mislin's formula over C.
+
+    H_n ⊗ C is the sum over the classes (g) of finite order of H_n(X^g / C(g); C).  g = 1 adds
+    the Betti numbers of the underlying surface: with h handles o, c cross-caps × and s mirror
+    blocks *, chi = 2 - 2h - c - s, b_2 = 1 iff c = s = 0 and b_1 = 1 + b_2 - chi.  A cone point
+    of order m adds m - 1 fixed points; a corner of order n adds floor(n/2), as r^j and r^-j are
+    conjugate in D_n.  The reflections of a block with e even corners fix e segments when e > 0,
+    and one circle otherwise, which adds 1 to H_0 and 1 to H_1."""
+    cones, *blocks = (_digits(part) for part in symbol.split("*"))
+    h, c, s = symbol.count("o"), symbol.count("×"), len(blocks)
+    b2 = int(c == s == 0)
+    b1 = 1 + b2 - (2 - 2 * h - c - s)
+    evens = [sum(n % 2 == 0 for n in block) for block in blocks]
+    corners = sum(n // 2 for block in blocks for n in block)
+    return 1 + sum(m - 1 for m in cones) + corners + sum(max(e, 1) for e in evens), b1 + evens.count(0), b2
+
+
+@pytest.mark.parametrize(
+    "name, ranks", [("p3m1", (5, 1, 0)), ("p6m", (8, 0, 0)), ("pmg", (4, 1, 0)), ("pm", (3, 3, 0))]
+)
+def test_mislins_formula_by_hand(name, ranks):
+    assert _mislin_ranks(CONWAY[name]) == ranks
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_free_ranks_match_mislins_formula(name):
+    """Mislin (Mislin–Valette, "Proper Group Actions and the Baum–Connes Conjecture", 2003, Part I),
+    degree by degree, for all 17 groups: the expected ranks are read from the Conway symbol alone,
+    with no cell, character or matrix."""
+    groups = homology.compute_homology(wallpaper.get_group(name)[0]).groups
+    assert tuple(g.free_rank for g in groups) == _mislin_ranks(CONWAY[name])
