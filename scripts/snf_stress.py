@@ -101,7 +101,8 @@ def check_presentation(
     if presentation.torsion != torsion or presentation.free_rank != len(kept) - len(torsion):
         return "has the wrong invariants"
     rows = IntegerMatrix(len(kept), coordinates.cols, tuple(coordinates.nonzeros[i] for i in kept))
-    if presentation.generators != generators.take_columns(kept) or presentation.coordinates != rows:
+    columns = tuple({p: r[j] for p, j in enumerate(kept) if j in r} for r in generators.nonzeros)
+    if presentation.generators != IntegerMatrix(generators.rows, len(kept), columns) or presentation.coordinates != rows:
         return "differs from the columns and rows of the full transforms"
     if presentation.coordinates @ presentation.generators != identity(len(kept)):
         return "coordinates do not invert its generators"

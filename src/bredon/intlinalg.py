@@ -12,7 +12,8 @@ A pivot clears its column before its row, and every quotient is rounded to
 the nearest integer, so each Euclidean remainder is at most half the pivot
 and a dense matrix takes fewer operations.  Where no pivot leaves a remainder
 in its cross, as in every matrix the homology of a built-in group reduces,
-this logs the same operations as floor quotients taken row then column.
+this logs the same operations as floor quotients taken row then column;
+a unit pivot clears its cross in one pass each way.
 
 An ``IntegerMatrix`` stores each row as a {column: value} dict of its
 nonzeros, so a sparse differential costs its nonzeros from assembly through
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from itertools import chain, compress
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 
 class IntegerMatrix:
@@ -53,7 +54,7 @@ class IntegerMatrix:
     __delattr__ = __setattr__
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not IntegerMatrix:
+        if not isinstance(other, IntegerMatrix):
             return NotImplemented
         return self.rows == other.rows and self.cols == other.cols and self.nonzeros == other.nonzeros
 
@@ -121,14 +122,30 @@ class IntegerMatrix:
             out.append({j: x for j, x in acc.items() if x})
         return IntegerMatrix(self.rows, other.cols, tuple(out))
 
-    def take_columns(self, indices: Sequence[int]) -> "IntegerMatrix":
-        if any(not 0 <= j < self.cols for j in indices):
-            raise IndexError(f"column index outside 0..{self.cols - 1} of a {self.rows}x{self.cols} matrix")
-        rows = tuple({p: r[j] for p, j in enumerate(indices) if j in r} for r in self.nonzeros)
-        return IntegerMatrix(self.rows, len(indices), rows)
-
     def __str__(self) -> str:
         return "\n".join(" ".join(map(str, line)) for line in self.to_rows()) or "(empty)"
+
+
+_NONZEROS = IntegerMatrix.nonzeros  # the slot, which ``DeferredMatrix`` fills on first read
+
+
+class DeferredMatrix(IntegerMatrix):
+    """An ``IntegerMatrix`` of known shape whose entries are ``build()``'s, made on their first
+    read and then kept, so it equals, prints and multiplies as the built matrix does."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, rows: int, cols: int, build: Callable[[], IntegerMatrix]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_build", build)
+
+    @property
+    def nonzeros(self) -> tuple[dict[int, int], ...]:
+        if (build := self._build) is not None:
+            _NONZEROS.__set__(self, build().nonzeros)
+            object.__setattr__(self, "_build", None)
+        return _NONZEROS.__get__(self)
 
 
 class SNFDecomposition:
@@ -139,8 +156,9 @@ class SNFDecomposition:
     each of P, P_inv, Q and Q_inv is built on first read by replaying its
     log in reverse (see ``_replay``) and cached, so a caller pays only for
     the transforms it reads; D is built from the invariant factors, also on
-    first read.  ``kernel`` and ``cokernel`` replay, in one walk of a log,
-    only the columns and rows they return, and are not cached.
+    first read.  ``kernel`` and ``cokernel`` replay only the generator
+    columns they return, and their coordinate rows, a ``DeferredMatrix``,
+    in a second walk on the first read of its entries; neither is cached.
     """
 
     def __init__(self, matrix: IntegerMatrix, invariant_factors: tuple[int, ...], row_ops: list, col_ops: list) -> None:
@@ -174,14 +192,23 @@ class SNFDecomposition:
 
     def kernel(self) -> "Presentation":
         """ker(A), free: Q's columns and Q_inv's rows from the rank on."""
-        return Presentation((), *_replay(self.col_ops, self.matrix.cols, (False, False), (True, True), first=self.rank))
+        return _presentation((), self.col_ops, self.matrix.cols, self.rank, (False, False), (True, True))
 
     def cokernel(self) -> "Presentation":
         """coker(A): P_inv's columns and P's rows from the rank less the torsion count on."""
         # The factors > 1 end the divisibility chain, so they are the last t before the rank.
         torsion = tuple(d for d in self.invariant_factors if d > 1)
         first = self.rank - len(torsion)
-        return Presentation(torsion, *_replay(self.row_ops, self.matrix.rows, (True, False), (False, True), first=first))
+        return _presentation(torsion, self.row_ops, self.matrix.rows, first, (True, False), (False, True))
+
+
+def _presentation(
+    torsion: tuple[int, ...], log: list, size: int, first: int, columns: tuple[bool, bool], rows: tuple[bool, bool]
+) -> "Presentation":
+    """The generators, the ``columns`` kind of transform from ``first`` on, replayed now, and the
+    coordinates, the ``rows`` kind from ``first`` on, replayed from the same ``log`` on their first read."""
+    coordinates = DeferredMatrix(size - first, size, lambda: _replay(log, size, rows, first=first)[0])
+    return Presentation(torsion, _replay(log, size, columns, first=first)[0], coordinates)
 
 
 class Presentation(namedtuple("Presentation", "torsion generators coordinates")):
@@ -191,6 +218,8 @@ class Presentation(namedtuple("Presentation", "torsion generators coordinates"))
     ``coordinates``, the matching rows, sends a vector to its class, row
     i < t modulo d_i, so ``coordinates @ generators`` is the identity.  The
     vectors are those of ker(A) for a kernel, all of Z^m for a cokernel.
+    ``kernel`` and ``cokernel`` build the coordinates on the first read of
+    their entries.
     """
 
     __slots__ = ()
@@ -363,8 +392,8 @@ def _replay(
     log: list[tuple[int, int, int]], size: int, *kinds: tuple[bool, bool], first: int = 0
 ) -> list[IntegerMatrix]:
     """Replay ``log`` in reverse, each operation transposed, as row operations
-    on columns ``first`` onward of the size x size identity, once for each
-    (inverse, transposed) kind, all in one walk of the log.
+    on columns ``first`` onward of the size x size identity, in one walk of
+    the log for each (inverse, transposed) kind.
 
     That builds the transpose of the product the log applies: an add
     line_i += k * line_j is replayed as row_j += k * row_i (swaps and
@@ -377,25 +406,24 @@ def _replay(
     ``IntegerMatrix`` stores them: an add walks its source row's nonzeros and
     deletes each entry it cancels, on dense and sparse logs alike.
     """
-    width = size - first
-    built = [([{} for _ in range(first)] + [{c: 1} for c in range(width)], *kind) for kind in kinds]
-    for i, j, k in reversed(log):
-        if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
-            for rows, inverse, _ in built:
+    width, matrices = size - first, []
+    for inverse, transposed in kinds:
+        rows = [{} for _ in range(first)] + [{c: 1} for c in range(width)]
+        for i, j, k in reversed(log):
+            if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
                 target, source, x = (rows[i], rows[j], -k) if inverse else (rows[j], rows[i], k)
                 for c, v in source.items():
                     if y := target.get(c, 0) + x * v:
                         target[c] = y
                     else:
                         del target[c]
-        elif k:
-            for rows, _, _ in built:
+            elif k:
                 rows[i] = {c: -v for c, v in rows[i].items()}
-        else:
-            for rows, _, _ in built:
+            else:
                 rows[i], rows[j] = rows[j], rows[i]
-    matrices = [(IntegerMatrix(size, width, tuple(rows)), transposed) for rows, _, transposed in built]
-    return [m.transpose() if transposed else m for m, transposed in matrices]
+        m = IntegerMatrix(size, width, tuple(rows))
+        matrices.append(m.transpose() if transposed else m)
+    return matrices
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
@@ -442,10 +470,23 @@ def _clear_cross(w: _DenseRows | _SparseRows, t: int) -> None:
     row then column would match operation for operation.  Each pass walks, by
     increasing index, a snapshot of the lines that may meet row or column t
     (all of them on list rows): no swap or add changes an entry of the cross
-    that the pass has still to visit.
+    that the pass has still to visit.  A unit pivot, which every pivot of a
+    built-in or subdivided differential is, skips the least-entry scans and
+    the remainders: one pass down its column and one along its row.
     """
     d = w.d
     while True:
+        if (piv := d[t][t]) in (1, -1):
+            # Nothing in the cross is smaller than a unit pivot and every quotient v / piv is
+            # v * piv, exact, so one pass each way clears it, logging what a round would.
+            for i in w.below(t):
+                if v := d[i][t]:
+                    w.row_add(i, t, -v * piv)
+            pivot_row = d[t]
+            for j in w.right(t):
+                if v := pivot_row[j]:
+                    w.col_add(j, t, -v * piv)
+            return
         # Pull the smallest nonzero of the pivot cross into the corner first,
         # so the Euclidean remainders shrink monotonically.  A swap with line
         # t trades two nonzeros of the cross, so the lines that meet it stay

@@ -1,7 +1,7 @@
 """Helpers the tests read off one Smith normal form, and the matrix builders
 and readers the library itself has no use for: ``zeros``, ``identity``,
 ``column`` and ``hstack`` build; ``entry``, ``row`` and ``col`` read one
-entry, or one dense row or column.
+entry, or one dense row or column, and ``take_columns`` the chosen columns.
 
 ``solve_integer`` is the oracle for the kernel-coordinate algorithm that
 ``verify_basis`` replaced; ``kernel_basis`` and ``cokernel`` are shorthands
@@ -16,7 +16,7 @@ engine logs on a matrix whose pivots leave no remainder in their cross, as
 on the homology path of the built-in groups.
 """
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from bredon.intlinalg import IntegerMatrix, Presentation, smith_normal_form
 
@@ -50,6 +50,12 @@ def row(m: IntegerMatrix, i: int) -> tuple[int, ...]:
 
 def col(m: IntegerMatrix, j: int) -> tuple[int, ...]:
     return tuple(r.get(j, 0) for r in m.nonzeros)
+
+
+def take_columns(m: IntegerMatrix, indices: Sequence[int]) -> IntegerMatrix:
+    if any(not 0 <= j < m.cols for j in indices):
+        raise IndexError(f"column index outside 0..{m.cols - 1} of a {m.rows}x{m.cols} matrix")
+    return IntegerMatrix(m.rows, len(indices), tuple({p: r[j] for p, j in enumerate(indices) if j in r} for r in m.nonzeros))
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:

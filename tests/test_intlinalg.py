@@ -18,6 +18,7 @@ from snf_helpers import (
     kernel_basis,
     reference_reduction,
     solve_integer,
+    take_columns,
     zeros,
 )
 
@@ -94,8 +95,8 @@ def test_diagonal_rejects_more_values_than_the_shape_holds(rows, cols, values):
 def test_take_columns_rejects_an_index_outside_the_matrix(indices):
     a = IntegerMatrix.from_rows([[1, 2], [3, 4]])
     with pytest.raises(IndexError, match="outside 0..1 of a 2x2 matrix"):
-        a.take_columns(indices)
-    assert a.take_columns(range(2)) == a and a.take_columns(range(0)) == IntegerMatrix(2, 0, ({}, {}))
+        take_columns(a, indices)
+    assert take_columns(a, range(2)) == a and take_columns(a, range(0)) == IntegerMatrix(2, 0, ({}, {}))
 
 
 def test_shape_is_checked_on_construction():
@@ -127,7 +128,7 @@ def test_a_matrix_has_no_tuple_behaviour(op):
 
 def test_equality_compares_shape_and_entries():
     a = IntegerMatrix.from_rows([[1, 0], [0, 2]])
-    assert a == IntegerMatrix(2, 2, ({0: 1}, {1: 2})) and a != a.transpose().take_columns([1, 0])
+    assert a == IntegerMatrix(2, 2, ({0: 1}, {1: 2})) and a != take_columns(a.transpose(), [1, 0])
     assert IntegerMatrix(0, 2, ()) != IntegerMatrix(0, 3, ()) and a != (2, 2, a.nonzeros)
     assert repr(IntegerMatrix(1, 2, ({1: 5},))) == "IntegerMatrix(rows=1, cols=2, nonzeros=({1: 5},))"
 
@@ -366,14 +367,14 @@ def test_restricted_replays_are_slices_of_the_full_transforms(a):
     snf = smith_normal_form(a)
     m, n, k = a.rows, a.cols, snf.rank
     kernel = snf.kernel()  # one walk of the column log
-    assert kernel.torsion == () and kernel.generators == snf.Q.take_columns(range(k, n))
+    assert kernel.torsion == () and kernel.generators == take_columns(snf.Q, range(k, n))
     assert kernel.coordinates == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
     assert kernel.coordinates @ kernel.generators == identity(n - k)
     cok = snf.cokernel()  # one walk of the row log
     torsion_positions = [i for i, d in enumerate(snf.invariant_factors) if d > 1]
     assert cok.torsion == tuple(snf.invariant_factors[i] for i in torsion_positions)
     # P_inv's torsion columns, then its free ones
-    assert cok.generators == snf.P_inv.take_columns(torsion_positions + list(range(k, m)))
+    assert cok.generators == take_columns(snf.P_inv, torsion_positions + list(range(k, m)))
     t = len(torsion_positions)
     assert cok.coordinates == IntegerMatrix(m - k + t, m, snf.P.nonzeros[k - t :])
     assert cok.coordinates @ cok.generators == identity(m - k + t)
@@ -388,7 +389,7 @@ def test_restricted_replays_are_slices_of_the_full_transforms(a):
                 if kind[1]:  # transposed: rows, not columns, from first on
                     assert part == IntegerMatrix(size - first, size, whole.nonzeros[first:])
                 else:
-                    assert part == whole.take_columns(range(first, size))
+                    assert part == take_columns(whole, range(first, size))
 
 
 def assert_logs_match_the_reference(a: IntegerMatrix) -> None:
@@ -486,7 +487,7 @@ def test_no_constructor_stores_a_zero(shaped, data):
     assert stores_only_nonzeros(ab) and ab.to_rows() == product
 
     indices = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)) if n else []
-    taken = a.take_columns(indices)
+    taken = take_columns(a, indices)
     assert stores_only_nonzeros(taken) and taken.to_rows() == [[line[j] for j in indices] for line in rows]
 
     values = data.draw(st.lists(cancelling, max_size=min(len(rows), n)))

@@ -13,11 +13,13 @@ and one table per orbit); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
 counted by patching ``intlinalg._replay``, keyed by the transforms one walk
 of a log builds and the first column they keep.  ``compute_homology``
-replays only the columns and rows it reads, in four walks (each cokernel's
-P_inv columns with its P rows, each kernel's Q columns with its Q_inv
-rows), ``bredon snf`` the full P and Q, and ``verify_basis`` none.  The
-coordinates each homology group keeps are checked against its own basis
-and boundaries, and the verdicts that ``verify_basis`` reads off them are
+replays only the columns and rows it reads, in five walks of one transform
+each (each cokernel's P_inv columns, each kernel's Q columns, and the Q_inv
+rows of d1's kernel, which the H_1 matrix needs), ``bredon snf`` the full P
+and Q, and the first ``verify_basis`` of a degree that group's coordinates,
+in one more walk.  The coordinates each homology group keeps are checked
+against slices of the full transforms, read in any order, and against its
+own basis and boundaries, and the verdicts that ``verify_basis`` reads off them are
 checked against the kernel-coordinate algorithm, rebuilt here from
 ``kernel_basis``, ``solve_integer`` and ``cokernel`` of the tests'
 ``snf_helpers``, on the built-in complexes, seeded subdivisions and a
@@ -49,7 +51,7 @@ from bredon.homology import (
 )
 from bredon.intlinalg import IntegerMatrix, smith_normal_form
 from snf_helpers import cokernel, col, hstack, identity, kernel_basis, solve_integer
-from subdivision import subdivided_group
+from subdivision import subdivided_group, torus_grid
 
 ALL_GROUPS = wallpaper.list_groups()
 
@@ -115,8 +117,7 @@ def embeddings(*names: str) -> int:
 TRANSFORMS = {(False, True): "P", (True, False): "P_inv", (False, False): "Q", (True, True): "Q_inv"}
 
 
-@pytest.fixture
-def built(monkeypatch):
+def count_replays(monkeypatch) -> Counter:
     """Counts walks of a log by (transforms built, first column kept); first 0 builds whole transforms."""
     counts = Counter()
     replay = intlinalg._replay
@@ -127,6 +128,11 @@ def built(monkeypatch):
 
     monkeypatch.setattr(intlinalg, "_replay", counting_replay)
     return counts
+
+
+@pytest.fixture
+def built(monkeypatch):
+    return count_replays(monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -275,28 +281,34 @@ def test_readers_leave_each_shared_report_as_computed():
 
 
 def restricted_replays(report) -> Counter:
-    """The (transforms, first) walks ``compute_homology`` makes for ``report``.
+    """The (transform, first) walks ``compute_homology`` makes for ``report``.
 
-    d1 of rank k1: P_inv's columns and P's rows from k1 - t0, in one walk, for
-    the generators and coordinates of H_0, then Q's columns and Q_inv's rows
-    from k1, in one walk, for its kernel and d2 in kernel coordinates; the H_1
-    matrix of rank k, which is d2's rank k2: P_inv's columns and P's rows from
-    k - t1 for its cokernel, and Q's columns and Q_inv's rows from k2 for the
-    basis and coordinates of H_2.
+    d1 of rank k1: P_inv's columns from k1 - t0 for the generators of H_0,
+    then Q's columns and, in a second walk, Q_inv's rows from k1, for its
+    kernel and d2 in kernel coordinates; the H_1 matrix of rank k, which is
+    d2's rank k2: P_inv's columns from k - t1 for its cokernel, and Q's
+    columns from k2 for the basis of H_2.  No group's coordinates are built.
     """
     k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
     h0, h1 = report.group(0), report.group(1)
     k = report.d1.cols - k1 - h1.free_rank
-    return Counter(
-        [("P_inv+P", k1 - len(h0.torsion)), ("Q+Q_inv", k1), ("Q+Q_inv", k2), ("P_inv+P", k - len(h1.torsion))]
-    )
+    return Counter([("P_inv", k1 - len(h0.torsion)), ("Q", k1), ("Q_inv", k1), ("Q", k2), ("P_inv", k - len(h1.torsion))])
+
+
+def coordinate_replays(report, degree: int) -> Counter:
+    """The one walk the first read of H_degree's coordinates makes: d1's P rows from k1 - t0 for H_0,
+    and for H_1 the P rows of the H_1 matrix, of rank k2, from k2 - t1 (k1's Q_inv rows are built
+    already), and for H_2 its Q_inv rows from k2."""
+    k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
+    t = len(report.group(degree).torsion)
+    return Counter([(("P", k1 - t), ("P", k2 - t), ("Q_inv", k2))[degree]])
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_compute_homology_builds_five_transforms(built, reports, name):
     complex = wallpaper.get_group(name)[0]._replace()  # a fresh copy, not yet reduced
     compute_homology(complex)
-    # four walks, each building two restricted transforms; a replay from first 0 builds a full
+    # five walks, each building one restricted transform; a replay from first 0 builds a full
     # transform, only where every column is read
     assert built == restricted_replays(reports[name])
     built.clear()
@@ -304,22 +316,29 @@ def test_compute_homology_builds_five_transforms(built, reports, name):
     assert built == {}
 
 
-def test_verify_basis_builds_no_transform(reports, built):
+def test_verify_basis_builds_each_groups_coordinates_once(built, fresh_builtins):
     for name in ALL_GROUPS:
+        report = compute_homology(wallpaper.get_group(name)[0])
         for degree in (0, 1, 2):
-            group = reports[name].group(degree)
-            assert verify_basis(reports[name], degree, list(group.torsion_basis) + list(group.basis))
-    assert built == {}
+            group = report.group(degree)
+            for replays in (coordinate_replays(report, degree), Counter()):
+                built.clear()
+                assert verify_basis(report, degree, list(group.torsion_basis) + list(group.basis))
+                assert built == replays, (name, degree)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["verify"]) == 1  # the cm reference basis is rejected
-    assert built == {}  # every built-in complex keeps the report computed for ``reports``
+    assert built == {}  # every built-in complex keeps its report, coordinates read
 
 
 def test_verify_builds_each_groups_transforms_once(reports, built, fresh_builtins):
     for _ in range(2):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify"]) == 1
-    assert built == sum((restricted_replays(reports[name]) for name in ALL_GROUPS), Counter())
+    # each group's reduction, and the coordinates of the H_1 and H_0 bases it checks
+    expected = Counter()
+    for report in map(reports.get, ALL_GROUPS):
+        expected += restricted_replays(report) + coordinate_replays(report, 1) + coordinate_replays(report, 0)
+    assert built == expected
 
 
 @pytest.mark.parametrize("fmt", ("text", "json"))
@@ -343,6 +362,59 @@ def test_transforms_hold_and_are_cached_in_any_read_order(data, order):
     assert first["P"] @ first["P_inv"] == identity(m)
     assert first["Q"] @ first["Q_inv"] == identity(n)
     assert all(getattr(snf, name) is first[name] for name in order)
+
+
+def rows_from(m: IntegerMatrix, first: int) -> IntegerMatrix:
+    return IntegerMatrix(m.rows - first, m.cols, m.nonzeros[first:])
+
+
+#: A fresh complex to reduce: a seeded subdivision, a torus grid or the one with torsion in H_0.
+fresh_complexes = st.one_of(
+    st.tuples(st.just("subdivided"), st.sampled_from(ALL_GROUPS), st.integers(0, 60), st.integers(0, 2**32)),
+    st.tuples(st.just("torus"), st.integers(2, 4)),
+    st.just(("h0-torsion",)),
+)
+
+
+def build_complex(drawn: tuple) -> gcw.EquivariantComplex:
+    kind, *args = drawn
+    if kind == "subdivided":
+        return gcw.from_json_dict(subdivided_group(*args))
+    return gcw.from_json_dict(torus_grid(*args)) if kind == "torus" else torsion_in_degree_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(fresh_complexes, st.permutations([(d, read) for d in (0, 1, 2) for read in ("generators", "coordinates")]))
+def test_coordinates_are_built_on_first_read_as_slices_of_the_full_transforms(drawn, reads):
+    report = compute_homology(build_complex(drawn))
+    # the engine's coordinates, from the full transforms: rows of P1, of P_K times Q1^-1's kernel rows, of Q_K^-1
+    snf1 = smith_normal_form(report.d1)
+    kernel_rows = rows_from(snf1.Q_inv, snf1.rank)
+    snf_k = smith_normal_form(kernel_rows @ report.d2)
+    h0, h1 = report.group(0), report.group(1)
+    expected = (
+        rows_from(snf1.P, snf1.rank - len(h0.torsion)),
+        rows_from(snf_k.P, snf_k.rank - len(h1.torsion)) @ kernel_rows,
+        rows_from(snf_k.Q_inv, snf_k.rank),
+    )
+    generators, coordinates = {}, {}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        built = count_replays(monkeypatch)
+        for degree, read in reads:
+            group = report.group(degree)
+            if read == "generators":
+                vectors = [chain_vector(report, degree, c) for c in group.torsion_basis + group.basis]
+                generators[degree] = IntegerMatrix.from_rows(vectors, cols=len(report.labels[degree])).transpose()
+                assert built == {}
+            else:
+                coordinates[degree] = group.coordinates.nonzeros
+                assert built == coordinate_replays(report, degree), degree
+                built.clear()
+                assert group.coordinates.nonzeros is coordinates[degree] and built == {}
+    for degree in (0, 1, 2):
+        group = report.group(degree)
+        assert group.coordinates == expected[degree], degree
+        assert group.coordinates @ generators[degree] == identity(generators[degree].cols), degree
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
