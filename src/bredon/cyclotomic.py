@@ -52,6 +52,9 @@ class Cyclotomic:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self) -> tuple:  # copied and pickled by value
+        return Cyclotomic, (self.coeffs,)
+
     @staticmethod
     def of(a: Rational, b: Rational = 0, c: Rational = 0, d: Rational = 0) -> "Cyclotomic":
         return Cyclotomic((a, b, c, d))

@@ -60,6 +60,9 @@ class IntegerMatrix:
 
     __hash__ = None  # rows are dicts
 
+    def __reduce__(self) -> tuple:  # copied and pickled by value, a ``DeferredMatrix`` as its built matrix
+        return IntegerMatrix, (self.rows, self.cols, self.nonzeros)
+
     def __repr__(self) -> str:
         return f"IntegerMatrix(rows={self.rows!r}, cols={self.cols!r}, nonzeros={self.nonzeros!r})"
 
@@ -151,14 +154,14 @@ class DeferredMatrix(IntegerMatrix):
 class SNFDecomposition:
     """D = P*A*Q with P, Q unimodular; D diagonal with a divisibility chain.
 
-    One reduction of A answers both ``kernel`` and ``cokernel``, each a
-    ``Presentation``.  The reduction logs its row and column operations;
-    each of P, P_inv, Q and Q_inv is built on first read by replaying its
-    log in reverse (see ``_replay``) and cached, so a caller pays only for
-    the transforms it reads; D is built from the invariant factors, also on
-    first read.  ``kernel`` and ``cokernel`` replay only the generator
-    columns they return, and their coordinate rows, a ``DeferredMatrix``,
-    in a second walk on the first read of its entries; neither is cached.
+    One reduction of A answers both ``kernel`` and ``cokernel``, each a ``Presentation``.
+    The reduction logs its row and column operations; each of P, P_inv, Q and Q_inv is
+    built on first read by one walk of its log in reverse (see ``_replay``) and cached, so
+    a caller pays only for the transforms it reads; D is built from the invariant factors,
+    also on first read.  ``kernel`` and ``cokernel`` replay only the generator columns they
+    return; their coordinates, a ``DeferredMatrix``, are the same rows of the inverse
+    transform, replayed in a second walk on the first read of their entries, so
+    ``coordinates @ generators`` is the identity by construction.  Neither is cached.
     """
 
     def __init__(self, matrix: IntegerMatrix, invariant_factors: tuple[int, ...], row_ops: list, col_ops: list) -> None:
@@ -172,19 +175,19 @@ class SNFDecomposition:
 
     @cached_property
     def P(self) -> IntegerMatrix:
-        return _replay(self.row_ops, self.matrix.rows, (False, True))[0]
+        return _replay(self.row_ops, self.matrix.rows, False, True)
 
     @cached_property
     def P_inv(self) -> IntegerMatrix:
-        return _replay(self.row_ops, self.matrix.rows, (True, False))[0]
+        return _replay(self.row_ops, self.matrix.rows, True, False)
 
     @cached_property
     def Q(self) -> IntegerMatrix:
-        return _replay(self.col_ops, self.matrix.cols, (False, False))[0]
+        return _replay(self.col_ops, self.matrix.cols, False, False)
 
     @cached_property
     def Q_inv(self) -> IntegerMatrix:
-        return _replay(self.col_ops, self.matrix.cols, (True, True))[0]
+        return _replay(self.col_ops, self.matrix.cols, True, True)
 
     @property
     def rank(self) -> int:
@@ -192,23 +195,21 @@ class SNFDecomposition:
 
     def kernel(self) -> "Presentation":
         """ker(A), free: Q's columns and Q_inv's rows from the rank on."""
-        return _presentation((), self.col_ops, self.matrix.cols, self.rank, (False, False), (True, True))
+        return _presentation((), self.col_ops, self.matrix.cols, self.rank, False)
 
     def cokernel(self) -> "Presentation":
         """coker(A): P_inv's columns and P's rows from the rank less the torsion count on."""
         # The factors > 1 end the divisibility chain, so they are the last t before the rank.
         torsion = tuple(d for d in self.invariant_factors if d > 1)
         first = self.rank - len(torsion)
-        return _presentation(torsion, self.row_ops, self.matrix.rows, first, (True, False), (False, True))
+        return _presentation(torsion, self.row_ops, self.matrix.rows, first, True)
 
 
-def _presentation(
-    torsion: tuple[int, ...], log: list, size: int, first: int, columns: tuple[bool, bool], rows: tuple[bool, bool]
-) -> "Presentation":
-    """The generators, the ``columns`` kind of transform from ``first`` on, replayed now, and the
-    coordinates, the ``rows`` kind from ``first`` on, replayed from the same ``log`` on their first read."""
-    coordinates = DeferredMatrix(size - first, size, lambda: _replay(log, size, rows, first=first)[0])
-    return Presentation(torsion, _replay(log, size, columns, first=first)[0], coordinates)
+def _presentation(torsion: tuple[int, ...], log: list, size: int, first: int, inverse: bool) -> "Presentation":
+    """The generators, columns ``first`` onward of the ``inverse`` replay of ``log``, built now, and the
+    coordinates, the same rows of its inverse, built on first read (``_replay`` is looked up then)."""
+    coordinates = DeferredMatrix(size - first, size, lambda: _replay(log, size, not inverse, True, first))
+    return Presentation(torsion, _replay(log, size, inverse, False, first), coordinates)
 
 
 class Presentation(namedtuple("Presentation", "torsion generators coordinates")):
@@ -388,42 +389,35 @@ class _SparseRows:
         return None
 
 
-def _replay(
-    log: list[tuple[int, int, int]], size: int, *kinds: tuple[bool, bool], first: int = 0
-) -> list[IntegerMatrix]:
-    """Replay ``log`` in reverse, each operation transposed, as row operations
-    on columns ``first`` onward of the size x size identity, in one walk of
-    the log for each (inverse, transposed) kind.
+def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transposed: bool, first: int = 0) -> IntegerMatrix:
+    """One walk of ``log`` in reverse, each operation transposed, as row operations on
+    columns ``first`` onward of the size x size identity: the (inverse, transposed) kind
+    (False, True) is P, (True, False) P_inv, (False, False) Q and (True, True) Q_inv.
 
-    That builds the transpose of the product the log applies: an add
-    line_i += k * line_j is replayed as row_j += k * row_i (swaps and
-    negations stay), so the row log gives P^T and the column log Q.
-    ``inverse`` replays each add inverted instead, row_i -= k * row_j, for
-    P_inv and Q_inv^T.  The result is transposed at the end when ``transposed``.
-    Row operations act on each column alone, so the size x (size - first)
-    result is those columns of the full product, bit for bit; transposed,
-    it is rows ``first`` onward.  Rows are dicts of their nonzeros, as
-    ``IntegerMatrix`` stores them: an add walks its source row's nonzeros and
-    deletes each entry it cancels, on dense and sparse logs alike.
+    That builds the transpose of the product the log applies: an add line_i += k * line_j
+    is replayed as row_j += k * row_i (swaps and negations stay), so the row log gives P^T
+    and the column log Q.  ``inverse`` replays each add inverted instead, row_i -= k * row_j,
+    for P_inv and Q_inv^T, and ``transposed`` transposes the result at the end.  Row
+    operations act on each column alone, so the size x (size - first) result is those
+    columns of the full product, bit for bit; transposed, it is rows ``first`` onward.
+    Rows are dicts of their nonzeros, as ``IntegerMatrix`` stores them: an add walks its
+    source row's nonzeros and deletes each entry it cancels, on dense and sparse logs alike.
     """
-    width, matrices = size - first, []
-    for inverse, transposed in kinds:
-        rows = [{} for _ in range(first)] + [{c: 1} for c in range(width)]
-        for i, j, k in reversed(log):
-            if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
-                target, source, x = (rows[i], rows[j], -k) if inverse else (rows[j], rows[i], k)
-                for c, v in source.items():
-                    if y := target.get(c, 0) + x * v:
-                        target[c] = y
-                    else:
-                        del target[c]
-            elif k:
-                rows[i] = {c: -v for c, v in rows[i].items()}
-            else:
-                rows[i], rows[j] = rows[j], rows[i]
-        m = IntegerMatrix(size, width, tuple(rows))
-        matrices.append(m.transpose() if transposed else m)
-    return matrices
+    rows = [{} for _ in range(first)] + [{c: 1} for c in range(size - first)]
+    for i, j, k in reversed(log):
+        if k and i != j:  # row_i -= k * row_j under inverse, else row_j += k * row_i
+            target, source, x = (rows[i], rows[j], -k) if inverse else (rows[j], rows[i], k)
+            for c, v in source.items():
+                if y := target.get(c, 0) + x * v:
+                    target[c] = y
+                else:
+                    del target[c]
+        elif k:
+            rows[i] = {c: -v for c, v in rows[i].items()}
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    m = IntegerMatrix(size, size - first, tuple(rows))
+    return m.transpose() if transposed else m
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:

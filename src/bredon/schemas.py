@@ -146,13 +146,13 @@ def _explain(data, what: str) -> None:
 
 
 def dumps(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python
-    encoder that ``indent`` selects.  One walk appends every piece of text to one
-    list, joined once at the end.  Strings go through the C string encoder; lists
-    and objects with ``str`` keys share one item loop; an ``IntegerMatrix`` is the
-    list of its rows, each spliced from its nonzeros into the text of an all-zero
-    row built once per matrix.  Any other value is ``json.dumps``'s own text,
-    re-indented to its depth (JSON text holds no raw newline outside its layout)."""
+    """``json.dumps(value, indent=2)``, byte for byte, without the pure-Python encoder that
+    ``indent`` selects.  One walk appends every piece of text to one list, joined once at the
+    end.  Strings go through the C string encoder; lists and objects with ``str`` keys share
+    one item loop; an ``IntegerMatrix``, a ``DeferredMatrix`` too, is the list of its rows,
+    each spliced from its nonzeros into the text of an all-zero row built once per matrix.
+    Any other value is ``json.dumps``'s own text, re-indented to its depth (JSON text holds
+    no raw newline outside its layout)."""
     import json  # only the commands that write JSON load it
     from json.encoder import encode_basestring_ascii as quote
 
@@ -187,6 +187,8 @@ def dumps(value) -> str:
                 write(item, inner)
                 out.append(sep)
             out[-1] = f"\n{pad}" + ("]" if kind is list else "}")
+        elif isinstance(value, IntegerMatrix):  # a ``DeferredMatrix``: its built matrix
+            write(IntegerMatrix(value.rows, value.cols, value.nonzeros), pad)
         else:
             out.append(json.dumps(value, indent=2).replace("\n", "\n" + pad))
 

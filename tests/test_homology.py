@@ -1,18 +1,22 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import jsonschema
 import pytest
 
-from bredon import gcw, homology, reference, wallpaper
+from bredon import gcw, homology, reference, schemas, wallpaper
+from bredon.cyclotomic import Cyclotomic
 from bredon.gcw import BoundaryTerm, CellOrbit, EquivariantComplex
 from bredon.homology import (
     UnknownGeneratorError,
     compute_homology,
     format_chain,
+    report_doc,
     report_to_json_dict,
     verify_basis,
 )
-from bredon.intlinalg import smith_normal_form
+from bredon.intlinalg import DeferredMatrix, IntegerMatrix, smith_normal_form
 from report_schema import REPORT_SCHEMA
 from snf_helpers import column
 from subdivision import subdivided_group, torus_grid
@@ -136,6 +140,30 @@ def test_h2_and_d2_invariants_match_a_reduction_of_d2_alone(build):
     assert h2.torsion == () and h2.free_rank == generators.cols
     assert verify_basis(report, 2, h2.basis)
     assert verify_basis(report, 2, reference_basis)
+
+
+# ---------------------------------------------------------------------------
+# Copies and pickles hold values: a matrix built on first read comes back built
+
+
+ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_matrices_cyclotomics_and_reports_copy_and_pickle_by_value(round_trip):
+    matrix = IntegerMatrix.from_rows([[1, 0, 0], [0, -2, 2**70]])
+    deferred = DeferredMatrix(2, 3, lambda: matrix)  # a lambda does not pickle, its matrix does
+    for value in (matrix, deferred, Cyclotomic.of(1, 2), Cyclotomic.of(0, Fraction(1, 3))):
+        copied = round_trip(value)
+        assert copied == value and type(copied) is (Cyclotomic if type(value) is Cyclotomic else IntegerMatrix)
+    complexes = [wallpaper.get_group(name)[0]._replace() for name in ALL_GROUPS]  # reports with nothing read
+    for report in map(compute_homology, complexes + [gcw.from_json_dict(subdivided_group("p6m", 240))]):
+        copied = round_trip(report)
+        assert copied == report and schemas.dumps(report_doc(copied)) == schemas.dumps(report_doc(report))
+        for degree in (0, 1, 2):
+            group = copied.group(degree)
+            verdict = verify_basis(copied, degree, group.torsion_basis + group.basis)
+            assert verdict.verdict == "ACCEPT", (report.group_name, degree, verdict.detail)
 
 
 # ---------------------------------------------------------------------------

@@ -338,12 +338,11 @@ def storage_matrices(draw, max_dim=40):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(sparse_matrices(), matrices(max_dim=12, bound=99), storage_matrices()))
 def test_replay_matches_the_dense_reference(a):
-    # the reverse replay builds the transpose of the forward one, for each kind alone and all in one walk
+    # the reverse replay builds the transpose of the forward one, for each kind
     snf = smith_normal_form(a)
     for log, size in ((snf.row_ops, a.rows), (snf.col_ops, a.cols)):
-        expected = [dense_replay(log, size, inverse, not transposed) for inverse, transposed in KINDS]
-        assert [intlinalg._replay(log, size, kind)[0] for kind in KINDS] == expected
-        assert intlinalg._replay(log, size, *KINDS) == expected
+        for inverse, transposed in KINDS:
+            assert intlinalg._replay(log, size, inverse, transposed) == dense_replay(log, size, inverse, not transposed)
 
 
 @st.composite
@@ -378,15 +377,13 @@ def test_restricted_replays_are_slices_of_the_full_transforms(a):
     t = len(torsion_positions)
     assert cok.coordinates == IntegerMatrix(m - k + t, m, snf.P.nonzeros[k - t :])
     assert cok.coordinates @ cok.generators == identity(m - k + t)
-    # every first column, for all four transforms, each alone and all in one walk: columns of
-    # the untransposed product
+    # every first column, for all four transforms: columns of the untransposed product
     for log, size in ((snf.row_ops, m), (snf.col_ops, n)):
-        full = intlinalg._replay(log, size, *KINDS)
-        for first in range(size + 1):
-            together = intlinalg._replay(log, size, *KINDS, first=first)
-            for kind, whole, part in zip(KINDS, full, together):
-                assert intlinalg._replay(log, size, kind, first=first) == [part]
-                if kind[1]:  # transposed: rows, not columns, from first on
+        for inverse, transposed in KINDS:
+            whole = intlinalg._replay(log, size, inverse, transposed)
+            for first in range(size + 1):
+                part = intlinalg._replay(log, size, inverse, transposed, first)
+                if transposed:  # rows, not columns, from first on
                     assert part == IntegerMatrix(size - first, size, whole.nonzeros[first:])
                 else:
                     assert part == take_columns(whole, range(first, size))
@@ -501,7 +498,7 @@ def test_no_constructor_stores_a_zero(shaped, data):
     snf = smith_normal_form(a)
     for log, size in ((snf.row_ops, a.rows), (snf.col_ops, a.cols)):
         for first in range(size + 1):
-            assert all(map(stores_only_nonzeros, intlinalg._replay(log, size, *KINDS, first=first)))
+            assert all(stores_only_nonzeros(intlinalg._replay(log, size, *kind, first)) for kind in KINDS)
 
 
 @settings(max_examples=150, deadline=None)

@@ -120,3 +120,12 @@ def test_matrix_writer_on_edge_shapes(cols, rows):
 def test_report_writer_matches_the_dense_report(name, steps):
     report = compute_homology(gcw.from_json_dict(subdivided_group(name, steps)))
     assert report_to_json(report) == json.dumps(report_to_json_dict(report), indent=2)
+
+
+@pytest.mark.parametrize("name", wallpaper.list_groups())
+def test_deferred_coordinates_are_written_as_their_rows(name):
+    report = compute_homology(wallpaper.get_group(name)[0]._replace())  # coordinates not yet built
+    for degree in (0, 1, 2):
+        coordinates = report.group(degree).coordinates
+        assert schemas.dumps(coordinates) == json.dumps(coordinates.to_rows(), indent=2)
+        assert schemas.dumps({"coordinates": [coordinates]}) == json.dumps({"coordinates": [coordinates.to_rows()]}, indent=2)

@@ -11,15 +11,16 @@ and ``chartab.build_table`` (the lookups made from ``gcw``: one induction
 matrix per distinct embedding id of a complex, not one per boundary term,
 and one table per orbit); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
-counted by patching ``intlinalg._replay``, keyed by the transforms one walk
-of a log builds and the first column they keep.  ``compute_homology``
-replays only the columns and rows it reads, in five walks of one transform
-each (each cokernel's P_inv columns, each kernel's Q columns, and the Q_inv
-rows of d1's kernel, which the H_1 matrix needs), ``bredon snf`` the full P
-and Q, and the first ``verify_basis`` of a degree that group's coordinates,
-in one more walk.  The coordinates each homology group keeps are checked
-against slices of the full transforms, read in any order, and against its
-own basis and boundaries, and the verdicts that ``verify_basis`` reads off them are
+counted by patching ``intlinalg._replay``, one walk of a log per transform,
+keyed by that transform and the first column it keeps.  ``compute_homology``
+replays only the columns and rows it reads, in five walks (each cokernel's
+P_inv columns, each kernel's Q columns, and the Q_inv rows of d1's kernel,
+which the H_1 matrix needs), ``bredon snf`` the full P and Q, and the first
+``verify_basis`` of a degree that group's coordinates, the rows of the
+inverse of its generators' transform, in one more walk.  The coordinates
+each homology group keeps are checked against slices of the full
+transforms, read in any order, and against its own basis and boundaries,
+and the verdicts that ``verify_basis`` reads off them are
 checked against the kernel-coordinate algorithm, rebuilt here from
 ``kernel_basis``, ``solve_integer`` and ``cokernel`` of the tests'
 ``snf_helpers``, on the built-in complexes, seeded subdivisions and a
@@ -118,13 +119,13 @@ TRANSFORMS = {(False, True): "P", (True, False): "P_inv", (False, False): "Q", (
 
 
 def count_replays(monkeypatch) -> Counter:
-    """Counts walks of a log by (transforms built, first column kept); first 0 builds whole transforms."""
+    """Counts walks of a log by (transform built, first column kept); first 0 builds a whole transform."""
     counts = Counter()
     replay = intlinalg._replay
 
-    def counting_replay(log, size, *kinds, first=0):
-        counts["+".join(TRANSFORMS[kind] for kind in kinds), first] += 1
-        return replay(log, size, *kinds, first=first)
+    def counting_replay(log, size, inverse, transposed, first=0):
+        counts[TRANSFORMS[inverse, transposed], first] += 1
+        return replay(log, size, inverse, transposed, first)
 
     monkeypatch.setattr(intlinalg, "_replay", counting_replay)
     return counts
