@@ -57,7 +57,7 @@ def identity(n: int) -> IntegerMatrix:
 
 def bits(m: IntegerMatrix) -> int:
     """Bit length of the largest |entry| of ``m``."""
-    return max((abs(v).bit_length() for v in m.entries), default=0)
+    return max((abs(v).bit_length() for row in m.nonzeros for v in row.values()), default=0)
 
 
 def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:

@@ -17,13 +17,18 @@ every command, or a reader that closed stdout early, as ``| head`` does),
 ``--show-differentials`` or ``--show-snf`` with ``compute --format json``,
 ``--format`` with ``dump --dump-complex`` or ``--dump-tables``), 3 invalid
 input.
+
+The grammar is declared once, in ``_COMMANDS``.  ``main`` parses an argv
+written out in full by hand and leaves every other argv (help, usage errors,
+abbreviations, ``--opt=value``) to argparse, so ``argparse`` is imported only
+for those, and each help, usage and error text is argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
+import types
 
 from . import chartab, gcw, homology, reference, schemas, wallpaper
 from .intlinalg import IntegerMatrix, smith_normal_form
@@ -288,41 +293,92 @@ def cmd_snf(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: The grammar, declared once: per command, its help line and the name and keywords
+#: of each ``add_argument`` call, in order.  ``build_parser`` passes them to argparse,
+#: and ``_parse`` reads their ``action``, ``choices``, ``nargs`` and ``default``.
+_COMMANDS = {
+    "compute": ("compute homology of one group or all 17", (
+        ("group", {"nargs": "?", "help": "wallpaper group name, e.g. p4m"}),
+        ("--all", {"action": "store_true", "help": "compute every group"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+        ("--show-differentials", {"action": "store_true"}),
+        ("--show-snf", {"action": "store_true"}),
+    )),
+    "verify": ("diff recomputed results against the embedded reference tables", (
+        ("--table3", {"action": "store_true", "help": "induced character rows"}),
+        ("--table4", {"action": "store_true", "help": "homology isomorphism types"}),
+        ("--bases", {"action": "store_true", "help": "reference homology bases"}),
+    )),
+    "dump": ("emit or load JSON data", (
+        ("--dump-complex", {"metavar": "NAME", "help": "emit a built-in cell structure"}),
+        ("--dump-tables", {"action": "store_true", "help": "emit all nine character tables"}),
+        ("--from-file", {"metavar": "PATH", "help": "load a complex and compute its homology"}),
+        ("--format", {"choices": ("text", "json"), "help": "report format for --from-file (default text)"}),
+    )),
+    "snf": ("Smith normal form of a JSON matrix (list of integer rows)", (
+        ("matrix", {"help": "path to a JSON file, or - for stdin"}),
+        ("--format", {"choices": ("text", "json"), "default": "text"}),
+    )),
+}
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; ``main`` looks up each command's function."""
+def build_parser():
+    """The argparse parser of ``_COMMANDS``, built once per process and only for an argv
+    that ``_parse`` leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bredon",
         description="Exact Bredon homology of the 17 wallpaper groups with representation-ring coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_compute = sub.add_parser("compute", help="compute homology of one group or all 17")
-    p_compute.add_argument("group", nargs="?", help="wallpaper group name, e.g. p4m")
-    p_compute.add_argument("--all", action="store_true", help="compute every group")
-    p_compute.add_argument("--format", choices=("text", "json"), default="text")
-    p_compute.add_argument("--show-differentials", action="store_true")
-    p_compute.add_argument("--show-snf", action="store_true")
-
-    p_verify = sub.add_parser("verify", help="diff recomputed results against the embedded reference tables")
-    p_verify.add_argument("--table3", action="store_true", help="induced character rows")
-    p_verify.add_argument("--table4", action="store_true", help="homology isomorphism types")
-    p_verify.add_argument("--bases", action="store_true", help="reference homology bases")
-
-    p_dump = sub.add_parser("dump", help="emit or load JSON data")
-    p_dump.add_argument("--dump-complex", metavar="NAME", help="emit a built-in cell structure")
-    p_dump.add_argument("--dump-tables", action="store_true", help="emit all nine character tables")
-    p_dump.add_argument("--from-file", metavar="PATH", help="load a complex and compute its homology")
-    p_dump.add_argument("--format", choices=("text", "json"), help="report format for --from-file (default text)")
-
-    p_snf = sub.add_parser("snf", help="Smith normal form of a JSON matrix (list of integer rows)")
-    p_snf.add_argument("matrix", help="path to a JSON file, or - for stdin")
-    p_snf.add_argument("--format", choices=("text", "json"), default="text")
+    for command, (help_line, arguments) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for name, keywords in arguments:
+            command_parser.add_argument(name, **keywords)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _parse(argv) -> types.SimpleNamespace | None:
+    """The namespace argparse gives for an argv written out in full, else None.  In full:
+    a command, then tokens that are each an exact option of that command, given once;
+    a value option's value, not led by ``-`` and among its ``choices``; or the command's
+    one positional, not led by ``-``.  So help, abbreviations, ``--opt=value``, ``--``,
+    ``-``, a repeat and a missing or extra positional are all None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = dict(_COMMANDS[argv[0]][1])
+    positional = next((name for name in arguments if name[0] != "-"), None)
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            name = positional
+        elif arguments.get(token, {}).get("action") == "store_true":
+            name, token = token, True
+        elif token in arguments:
+            name, token = token, next(tokens, "-")  # a missing value is left to argparse, as "-" is
+            if token[:1] == "-" or token not in arguments[name].get("choices", (token,)):
+                return None
+        else:
+            return None
+        if name is None or name in given:
+            return None
+        given[name] = token
+    if positional is not None and positional not in given and "nargs" not in arguments[positional]:
+        return None
+    values = {}
+    for name, spec in arguments.items():
+        default = spec.get("default", False if spec.get("action") == "store_true" else None)
+        values[name.lstrip("-").replace("-", "_")] = given.get(name, default)
+    return types.SimpleNamespace(command=argv[0], **values)
+
+
+def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
+    if argv is None:  # the console script passes no arguments
+        argv = sys.argv[1:]
+    args = _parse(argv) or build_parser().parse_args(argv)
     try:
         status = globals()[f"cmd_{args.command}"](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit

@@ -234,7 +234,7 @@ def test_frobenius_reciprocity(emb):
 def test_induction_entries_nonnegative_and_degree_scaled(emb):
     m = induction_matrix(emb)
     sub, sup = build_table(emb.sub), build_table(emb.sup)
-    assert all(v >= 0 for v in m.entries)
+    assert all(v >= 0 for row in m.nonzeros for v in row.values())
     for j, chi in enumerate(sub.irreducibles):
         induced_degree = sum(entry(m, i, j) * psi.degree for i, psi in enumerate(sup.irreducibles))
         assert induced_degree == emb.index * chi.degree

@@ -573,6 +573,30 @@ def test_main_calls_in_sequence_match_fresh_processes(capsys, monkeypatch, tmp_p
         assert got == (proc.returncode, proc.stdout, proc.stderr) and code == expected, argv
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        ([], 2),
+        (["--help"], 0),
+        (["compute", "--help"], 0),
+        (["compute", "--bogus"], 2),
+        (["compute", "--form", "json", "p1"], 0),  # an abbreviation: argparse parses it, and the command runs
+        (["snf", "-", "--format", "yaml"], 2),
+    ],
+)
+def test_argvs_left_to_argparse_match_fresh_processes(capsys, monkeypatch, argv, expected):
+    # help, usage errors and abbreviations go to argparse, in process as in a fresh one
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal width
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "bredon", *argv], input="", capture_output=True, text=True, env=env, timeout=120)
+    assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr) and code == expected
+
+
 def test_main_looks_up_the_command_function_on_each_call(capsys, monkeypatch):
     from bredon import cli
 

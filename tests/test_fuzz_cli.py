@@ -1,5 +1,8 @@
 """Fuzzed user input: ``dump --from-file`` and ``snf`` end in exit 0 or 3, never a traceback.
 
+Fuzzed argvs: the hand parser of the CLI returns argparse's namespace or
+leaves the argv to argparse, and never takes one that argparse exits on.
+
 Arbitrary JSON documents of bounded size, small integer matrices (ragged
 ones too) and seeded mutations of the built-in complexes go through
 ``cli.main`` unguarded, so any exception fails the test.  Exit 0 must
@@ -19,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bredon import chartab, gcw, schemas, wallpaper
+import cli_argv
+from bredon import chartab, cli, gcw, schemas, wallpaper
 from bredon.cli import main
 
 JSON = st.recursive(
@@ -194,3 +198,40 @@ def test_predicate_agrees_with_walk_on_edge_cases(document, what, valid):
     # unhashable values in enum and range slots are never hashed, and nesting
     # past the depth of the spec is never walked
     assert _agree(document, what) is valid
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_hand_parser_agrees_with_argparse(rnd):
+    cli_argv.parity(cli_argv.draw(rnd))
+
+
+@pytest.mark.parametrize(
+    "argv, taken",
+    [
+        (["compute", "--all", "p4m"], True),  # a positional after an option
+        (["compute", "--format", "json", "p4m"], True),
+        (["compute", "", "--all"], True),  # argparse takes an empty token as the group
+        (("compute", "--all", "--format", "json"), True),
+        (("snf", "m.json"), True),
+        (["compute", "-5"], False),  # argparse takes a negative number as the group
+        (["snf", "-"], False),  # and a lone dash as the matrix or a value
+        (["dump", "--from-file", "-"], False),
+        (["compute", "--form", "json"], False),
+        (["compute", "--format=json"], False),
+        (["compute", "--", "p1"], False),
+        (["compute", "--all", "--all"], False),
+        (["verify", "p1"], False),
+        (["verify", "--all"], False),
+        (["snf"], False),
+        (["snf", "a.json", "b.json"], False),
+        (["compute", "--format"], False),
+        (["compute", "--format", "yaml"], False),
+        (["compute", "-h"], False),
+        (["--help"], False),
+        ([], False),
+    ],
+)
+def test_hand_parser_examples(argv, taken):
+    assert cli_argv.parity(argv) in (("same",) if taken else ("deferred", "exits"))
+    assert (cli._parse(argv) is not None) is taken

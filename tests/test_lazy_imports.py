@@ -27,24 +27,44 @@ def test_import_bredon_loads_no_submodule():
     assert _fresh("import sys, bredon\nprint(*[m for m in sys.modules if m.startswith('bredon.')])") == []
 
 
-@pytest.mark.parametrize(
-    "argv, code, unused",
-    [
-        (["compute", "--all", "--format", "json"], "0", {"dataclasses", "fractions", "inspect", "typing"}),
-        (["verify"], "1", {"dataclasses", "fractions", "inspect", "json", "typing"}),  # 1: the known cm basis mismatch
-    ],
-)
-def test_command_loads_only_what_it_uses(argv, code, unused):
+MODULES = ("argparse", "dataclasses", "fractions", "gettext", "inspect", "json", "typing")
+#: Loaded by neither command below; argparse, and the gettext it imports, load only for help and usage errors.
+UNUSED = {"argparse", "dataclasses", "fractions", "gettext", "inspect", "typing"}
+
+
+def _main_in_fresh(*argv: str) -> list[str]:
+    """The exit code of ``main(argv)`` in a fresh interpreter, then which of ``MODULES`` it loaded."""
     probe = (
         "import contextlib, io, sys\n"
         "from bredon.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(code, *[m for m in ('dataclasses', 'fractions', 'inspect', 'json', 'typing') if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"print(code, *[m for m in {MODULES!r} if m in sys.modules])\n"
     )
-    got = _fresh(probe, *argv)
+    return _fresh(probe, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv, code, unused",
+    [
+        (["compute", "--all", "--format", "json"], "0", UNUSED),
+        (["verify"], "1", UNUSED | {"json"}),  # 1: the known cm basis mismatch
+    ],
+)
+def test_command_loads_only_what_it_uses(argv, code, unused):
+    got = _main_in_fresh(*argv)
     assert got[0] == code
     assert not set(got[1:]) & unused, got
+
+
+def test_usage_errors_and_help_load_argparse():
+    # the fallback exists: an argv the hand parser leaves to argparse loads it
+    for argv, code in ((["compute", "--form", "json", "p1"], "0"), (["compute", "--bogus"], "2"), (["--help"], "0")):
+        got = _main_in_fresh(*argv)
+        assert got[0] == code and "argparse" in got[1:], (argv, got)
 
 
 def test_exports_are_the_defining_modules_objects():
