@@ -16,9 +16,9 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("chartab", "CharacterTable ConjugacyClass SubgroupEmbedding build_table induction_matrix inner_product "
-         "registered_embeddings restriction_matrix"),
+         "registered_embeddings"),
         ("cyclotomic", "Cyclotomic"),
-        ("gcw", "BoundaryTerm CellOrbit EquivariantComplex assemble_differential chain_rank validate"),
+        ("gcw", "BoundaryTerm CellOrbit EquivariantComplex differentials validate"),
         ("homology", "BasisVerdict HomologyGroup HomologyReport compute_homology verify_basis"),
         ("intlinalg", "IntegerMatrix Presentation SNFDecomposition smith_normal_form"),
         ("wallpaper", "GroupRecord get_group list_groups"),

@@ -50,10 +50,6 @@ class Irreducible(namedtuple("Irreducible", "name values")):
 
     __slots__ = ()
 
-    @property
-    def degree(self) -> int:
-        return int(self.values[0].as_rational())
-
 
 class CharacterTable(namedtuple("CharacterTable", "group_id order classes irreducibles")):
     """Full complex character table of one stabilizer group."""
@@ -75,8 +71,7 @@ class CharacterTable(namedtuple("CharacterTable", "group_id order classes irredu
 
 
 class SubgroupEmbedding(namedtuple("SubgroupEmbedding", "embedding_id sub sup class_map")):
-    """A class-level embedding H -> K: a total map on conjugacy classes, as (H label, K label) pairs.
-    ``index`` is [K : H], in place of the tuple method of that name."""
+    """A class-level embedding H -> K: a total map on conjugacy classes, as (H label, K label) pairs."""
 
     __slots__ = ()
 
@@ -85,10 +80,6 @@ class SubgroupEmbedding(namedtuple("SubgroupEmbedding", "embedding_id sub sup cl
             if a == h_label:
                 return b
         raise KeyError(f"embedding {self.embedding_id} does not map class {h_label!r}")
-
-    @property
-    def index(self) -> int:
-        return GROUP_ORDERS[self.sup] // GROUP_ORDERS[self.sub]
 
 
 _zeta = Cyclotomic.zeta_pow  # omega_3 = zeta^4, omega_6 = zeta^2
@@ -239,11 +230,6 @@ def validate_embedding(emb: SubgroupEmbedding) -> None:
             raise CharacterTableError(f"{emb.embedding_id}: class map does not preserve element order")
     if mapped[sub.classes[0].label] != sup.classes[0].label:
         raise CharacterTableError(f"{emb.embedding_id}: identity class not sent to identity class")
-
-
-def restriction_matrix(emb: SubgroupEmbedding) -> IntegerMatrix:
-    """Matrix of Res: R(K) -> R(H); by Frobenius reciprocity the transpose of induction."""
-    return induction_matrix(emb).transpose()
 
 
 @lru_cache(maxsize=None)

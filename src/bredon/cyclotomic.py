@@ -159,7 +159,3 @@ def hermitian_sum(weights: Iterable[int], f: Iterable[Cyclotomic], g: Iterable[C
 
 #: i, the primitive 4th root (zeta^3).
 I = Cyclotomic.zeta_pow(3)
-#: primitive cube root of unity (zeta^4).
-OMEGA3 = Cyclotomic.zeta_pow(4)
-#: primitive 6th root of unity (zeta^2).
-OMEGA6 = Cyclotomic.zeta_pow(2)

@@ -8,9 +8,9 @@ rings of the d-cell stabilizers; the differential assembles blockwise from
 signed induction matrices.  Generator labels follow the alpha/beta/gamma
 naming of the cell dimension, with the irreducible index as superscript.  A
 complex is checked and its differentials assembled once, in the pass that
-derives its chain layout; ``assemble_differential``, ``differentials`` and
-``validate`` only read that layout, and the first two refuse a complex with
-any violation.  ``homology.compute_homology`` keeps the report beside it.
+derives its chain layout; ``differentials`` and ``validate`` only read that
+layout, and ``differentials`` refuses a complex with any violation.
+``homology.compute_homology`` keeps the report beside it.
 """
 
 from __future__ import annotations
@@ -143,23 +143,6 @@ class EquivariantComplex(namedtuple("EquivariantComplex", "group_name orbits bou
         if not violations and not (d1 @ d2).is_zero():
             violations.append("differentials do not compose to zero")
         return ChainLayout(labels, (d1, d2), violations)
-
-
-def chain_rank(complex: EquivariantComplex, d: int) -> tuple[int, list[str]]:
-    """The rank of the degree-d chain group and its generator names (see ``ChainLayout``)."""
-    if d not in (0, 1, 2):
-        raise ValueError("chain degree must be 0, 1 or 2")
-    return len(complex.layout.labels[d]), list(complex.layout.labels[d])
-
-
-def assemble_differential(complex: EquivariantComplex, d: int) -> IntegerMatrix:
-    """The block matrix of the boundary map C_d -> C_{d-1}, as the layout assembled it.
-
-    ``InvalidComplexError`` lists the layout's violations, if any.
-    """
-    if d not in (1, 2):
-        raise ValueError("differential degree must be 1 or 2")
-    return differentials(complex)[d - 1]
 
 
 def differentials(complex: EquivariantComplex) -> tuple[IntegerMatrix, IntegerMatrix]:

@@ -170,10 +170,6 @@ class BasisVerdict(namedtuple("BasisVerdict", "accepted detail")):
         return self.accepted
 
 
-def chain_vector(report: HomologyReport, degree: int, candidate: Mapping[str, int] | Chain) -> list[int]:
-    return _chain_vectors(report, degree, [candidate])[0]
-
-
 def _chain_vectors(
     report: HomologyReport, degree: int, candidates: Sequence[Mapping[str, int] | Chain]
 ) -> list[list[int]]:

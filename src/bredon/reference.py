@@ -141,11 +141,3 @@ HOMOLOGY_ROWS: dict[str, tuple[IsoType, IsoType, tuple, IsoType, tuple]] = {
 CORRECTED_BASES: dict[tuple[str, int], tuple] = {
     ("cm", 1): _b("beta_0", "beta_1^1"),
 }
-
-#: Invariant factor spot checks: (group, differential degree) -> factors.
-INVARIANT_FACTOR_CHECKS: dict[tuple[str, int], tuple[int, ...]] = {
-    ("p2", 1): (1, 1, 1),
-    ("pg", 2): (2,),
-    ("pmm", 1): (1, 1, 1, 1, 1, 1, 1),
-    ("pgg", 2): (2,),
-}

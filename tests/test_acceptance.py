@@ -26,6 +26,14 @@ from snf_helpers import cokernel, entry, identity, kernel_basis, row
 
 ALL_GROUPS = wallpaper.list_groups()
 
+#: Invariant factor spot checks: (group, differential degree) -> factors.
+INVARIANT_FACTOR_CHECKS: dict[tuple[str, int], tuple[int, ...]] = {
+    ("p2", 1): (1, 1, 1),
+    ("pg", 2): (2,),
+    ("pmm", 1): (1, 1, 1, 1, 1, 1, 1),
+    ("pgg", 2): (2,),
+}
+
 
 def _report(criterion: int, description: str, failures: list[str]) -> None:
     status = "FAIL" if failures else "PASS"
@@ -66,7 +74,7 @@ def test_criterion_2_induced_characters_reproduced():
 
 def test_criterion_3_invariant_factor_spot_checks(reports):
     failures = []
-    for (name, degree), expected in reference.INVARIANT_FACTOR_CHECKS.items():
+    for (name, degree), expected in INVARIANT_FACTOR_CHECKS.items():
         rep = reports[name]
         got = rep.invariant_factors_d1 if degree == 1 else rep.invariant_factors_d2
         if got != expected:

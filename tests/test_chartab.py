@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import bredon
 from bredon import chartab
 from bredon.chartab import (
     CharacterTableError,
@@ -11,7 +14,6 @@ from bredon.chartab import (
     induction_matrix,
     inner_product,
     registered_embeddings,
-    restriction_matrix,
 )
 from bredon.cyclotomic import Cyclotomic
 from bredon.reference import INDUCED_CHARACTER_ROWS
@@ -58,13 +60,13 @@ def test_c2_table_is_forced():
 def test_d3_degrees_and_names():
     t = build_table("D3")
     assert [chi.name for chi in t.irreducibles] == ["chi_1", "chi_2", "chi_3"]
-    assert [chi.degree for chi in t.irreducibles] == [1, 1, 2]
+    assert [chi.values[0].as_rational() for chi in t.irreducibles] == [1, 1, 2]
 
 
 def test_d6_degrees_and_names():
     t = build_table("D6")
     assert [chi.name for chi in t.irreducibles] == ["chi_1", "chi_2", "chi_3", "chi_4", "phi_1", "phi_2"]
-    assert [chi.degree for chi in t.irreducibles] == [1, 1, 1, 1, 2, 2]
+    assert [chi.values[0].as_rational() for chi in t.irreducibles] == [1, 1, 1, 1, 2, 2]
 
 
 def test_d4_names():
@@ -84,7 +86,7 @@ def test_table_structure(gid):
     assert all(t.order % c.element_order == 0 for c in t.classes)
     assert all(v == 1 for v in t.irreducibles[0].values)
     # sum of squared degrees is the group order
-    assert sum(chi.degree ** 2 for chi in t.irreducibles) == t.order
+    assert sum(chi.values[0].as_rational() ** 2 for chi in t.irreducibles) == t.order
 
 
 @pytest.mark.parametrize("gid", chartab.GROUP_IDS)
@@ -150,7 +152,7 @@ def test_broken_embedding_rejected():
         chartab.validate_embedding(bad)
     # the same defect surfaces as a non-integral decomposition
     with pytest.raises(CharacterTableError):
-        restriction_matrix(bad)
+        induction_matrix(bad).transpose()
 
 
 def test_unknown_embedding_id():
@@ -158,35 +160,51 @@ def test_unknown_embedding_id():
         get_embedding("C3->D4")
 
 
+def test_records_keep_the_tuple_methods():
+    # a record is a tuple to every caller: no field or property may shadow tuple.index or tuple.count
+    records = [
+        obj
+        for info in pkgutil.iter_modules(bredon.__path__)
+        for obj in vars(importlib.import_module(f"bredon.{info.name}")).values()
+        if isinstance(obj, type) and issubclass(obj, tuple) and hasattr(obj, "_fields")
+    ]
+    assert SubgroupEmbedding in records
+    for cls in records:
+        assert (cls.index, cls.count) == (tuple.index, tuple.count), cls.__name__
+    for emb in registered_embeddings():
+        assert emb.index(emb.embedding_id) == 0
+
+
 # ---------------------------------------------------------------------------
 # restriction
 
 
 def test_trivial_restricts_to_trivial():
-    m = restriction_matrix(get_embedding("C2->D2[a]"))
+    m = induction_matrix(get_embedding("C2->D2[a]")).transpose()
     assert col(m, 0) == (1, 0)
 
 
 def test_restriction_of_phi_along_central_involution():
-    m = restriction_matrix(get_embedding("C2->D4[C2^1]"))
+    m = induction_matrix(get_embedding("C2->D4[C2^1]")).transpose()
     assert col(m, 4) == (0, 2)  # phi pulls back to twice the sign character
 
 
 @pytest.mark.parametrize("gid", [g for g in chartab.GROUP_IDS if g != "C1"])
 def test_restriction_to_trivial_group_counts_dimension(gid):
     emb = get_embedding(f"C1->{gid}")
-    m = restriction_matrix(emb)
+    m = induction_matrix(emb).transpose()
     t = build_table(gid)
     assert m.rows == 1
-    assert list(row(m, 0)) == [chi.degree for chi in t.irreducibles]
+    assert list(row(m, 0)) == [chi.values[0].as_rational() for chi in t.irreducibles]
 
 
 @pytest.mark.parametrize("emb", registered_embeddings(), ids=lambda e: e.embedding_id)
 def test_restriction_degree_identity(emb):
-    m = restriction_matrix(emb)
+    m = induction_matrix(emb).transpose()
     sub, sup = build_table(emb.sub), build_table(emb.sup)
     for j, psi in enumerate(sup.irreducibles):
-        assert sum(entry(m, i, j) * chi.degree for i, chi in enumerate(sub.irreducibles)) == psi.degree
+        degree = sum(entry(m, i, j) * chi.values[0].as_rational() for i, chi in enumerate(sub.irreducibles))
+        assert degree == psi.values[0].as_rational()
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +222,7 @@ def test_induction_examples():
 def test_identity_embeddings_induce_identically(emb):
     if emb.sub == emb.sup:
         n = build_table(emb.sub).rank
-        assert induction_matrix(emb) == restriction_matrix(emb)
+        assert induction_matrix(emb) == induction_matrix(emb).transpose()
         assert induction_matrix(emb) == identity(n)
 
 
@@ -236,8 +254,9 @@ def test_induction_entries_nonnegative_and_degree_scaled(emb):
     sub, sup = build_table(emb.sub), build_table(emb.sup)
     assert all(v >= 0 for row in m.nonzeros for v in row.values())
     for j, chi in enumerate(sub.irreducibles):
-        induced_degree = sum(entry(m, i, j) * psi.degree for i, psi in enumerate(sup.irreducibles))
-        assert induced_degree == emb.index * chi.degree
+        induced_degree = sum(entry(m, i, j) * psi.values[0].as_rational() for i, psi in enumerate(sup.irreducibles))
+        index = chartab.GROUP_ORDERS[emb.sup] // chartab.GROUP_ORDERS[emb.sub]
+        assert induced_degree == index * chi.values[0].as_rational()
 
 
 def test_reference_induced_rows_reproduced():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bredon.cyclotomic import Cyclotomic, I, OMEGA3, OMEGA6
+from bredon.cyclotomic import Cyclotomic, I
 
 
 def test_powers_of_primitive_root():
@@ -24,10 +24,11 @@ def test_minimal_polynomial_vanishes():
 
 def test_named_roots():
     assert I * I == -1
-    assert OMEGA3 * OMEGA3 * OMEGA3 == 1
-    assert OMEGA3 != 1
-    assert OMEGA6 * OMEGA6 * OMEGA6 == -1
-    assert OMEGA6 * OMEGA6 == OMEGA3
+    omega3, omega6 = Cyclotomic.zeta_pow(4), Cyclotomic.zeta_pow(2)  # primitive cube and sixth roots of unity
+    assert omega3 * omega3 * omega3 == 1
+    assert omega3 != 1
+    assert omega6 * omega6 * omega6 == -1
+    assert omega6 * omega6 == omega3
 
 
 def test_conjugation_inverts_roots_of_unity():

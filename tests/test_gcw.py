@@ -7,8 +7,6 @@ from bredon.gcw import (
     CellOrbit,
     EquivariantComplex,
     InvalidComplexError,
-    assemble_differential,
-    chain_rank,
     differentials,
     from_json_dict,
     to_json_dict,
@@ -32,29 +30,20 @@ def cx(name):
 
 
 def test_chain_rank_p2_degree0():
-    rank, labels = chain_rank(cx("p2"), 0)
-    assert rank == 8
-    assert labels == [
+    assert cx("p2").layout.labels[0] == (
         "alpha_0^1", "alpha_0^2", "alpha_1^1", "alpha_1^2",
         "alpha_2^1", "alpha_2^2", "alpha_3^1", "alpha_3^2",
-    ]
+    )
 
 
 def test_chain_rank_p1_degree2():
-    rank, labels = chain_rank(cx("p1"), 2)
-    assert rank == 1
-    assert labels == ["gamma"]
+    assert cx("p1").layout.labels[2] == ("gamma",)
 
 
 def test_chain_rank_p6m_degree0():
-    rank, labels = chain_rank(cx("p6m"), 0)
-    assert rank == 13  # D6, D3, D2 contribute 6 + 3 + 4
+    labels = cx("p6m").layout.labels[0]
+    assert len(labels) == 13  # D6, D3, D2 contribute 6 + 3 + 4
     assert labels[0] == "alpha_0^1" and labels[-1] == "alpha_2^4"
-
-
-def test_chain_rank_bad_degree():
-    with pytest.raises(ValueError):
-        chain_rank(cx("p1"), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -62,37 +51,32 @@ def test_chain_rank_bad_degree():
 
 
 def test_pg_degree2_column():
-    d2 = assemble_differential(cx("pg"), 2)
+    d2 = differentials(cx("pg"))[1]
     assert d2 == IntegerMatrix.from_rows([[2], [0]])
 
 
 def test_cm_degree2_column():
-    d2 = assemble_differential(cx("cm"), 2)
+    d2 = differentials(cx("cm"))[1]
     assert d2 == IntegerMatrix.from_rows([[2], [1], [1]])
 
 
 def test_p2_degree2_vanishes():
-    assert assemble_differential(cx("p2"), 2).is_zero()
+    assert differentials(cx("p2"))[1].is_zero()
 
 
 def test_p4g_reflection_column():
     # generators of degree 1 are (beta_0, beta_1^1, beta_1^2); the beta_1^1
     # column lands in the D2 block as the difference of the two one-dim
     # characters distinguished by the two reflection families
-    d1 = assemble_differential(cx("p4g"), 1)
+    d1 = differentials(cx("p4g"))[0]
     assert col(d1, 1) == (0, 1, -1, 0, 0, 0, 0, 0)
     assert col(d1, 2) == (0, -1, 1, 0, 0, 0, 0, 0)
 
 
 def test_pmm_degree1_matches_block_pattern():
-    d1 = assemble_differential(cx("pmm"), 1)
+    d1 = differentials(cx("pmm"))[0]
     # column of beta_1^1: +(chi_1+chi_2) at vertex 2, -(chi_1+chi_3) at vertex 1
     assert col(d1, 2) == (0, 0, 0, 0, -1, 0, -1, 0, 1, 1, 0, 0, 0, 0, 0, 0)
-
-
-def test_differential_degree_checked():
-    with pytest.raises(ValueError):
-        assemble_differential(cx("p1"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,16 +90,17 @@ def test_builtin_complexes_validate(name):
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_builtin_differentials_compose_to_zero(name):
-    complex = cx(name)
-    d1 = assemble_differential(complex, 1)
-    d2 = assemble_differential(complex, 2)
+    d1, d2 = differentials(cx(name))
     assert (d1 @ d2).is_zero()
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_differentials_returns_both_assembled_matrices(name):
     complex = cx(name)
-    assert differentials(complex) == (assemble_differential(complex, 1), assemble_differential(complex, 2))
+    assert differentials(complex) is complex.layout.differentials
+    d1, d2 = differentials(complex)
+    labels = complex.layout.labels
+    assert (d1.rows, d1.cols, d2.rows, d2.cols) == (len(labels[0]), len(labels[1]), len(labels[1]), len(labels[2]))
 
 
 def test_differentials_raises_the_violations_validate_lists():
@@ -178,7 +163,7 @@ def test_non_int_dimension_is_out_of_range(value):
     assert validate(mutated) == [f"orbit e2: dimension {value} out of range"]
     with pytest.raises(InvalidComplexError):
         differentials(mutated)
-    assert chain_rank(mutated, 2) == (0, [])
+    assert mutated.layout.labels[2] == ()
 
 
 @pytest.mark.parametrize("value", [1.0, -1.0, True, 2])
@@ -267,7 +252,7 @@ def _replace_terms(base, source, **changes):
 def test_assembly_refuses_what_validate_rejects(mutated, d):
     # no float and no scaled block reaches an IntegerMatrix
     with pytest.raises(InvalidComplexError) as excinfo:
-        assemble_differential(mutated, d)
+        differentials(mutated)[d - 1]
     assert excinfo.value.violations == validate(mutated) != []
 
 

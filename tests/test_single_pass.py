@@ -38,13 +38,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bredon import chartab, cli, gcw, intlinalg, wallpaper
+from bredon import chartab, cli, gcw, homology, intlinalg, wallpaper
 from bredon.gcw import validate
 from bredon.homology import (
     EulerIdentityError,
     HomologyReport,
     InvalidComplexError,
-    chain_vector,
     compute_homology,
     report_doc,
     report_to_json_dict,
@@ -404,7 +403,7 @@ def test_coordinates_are_built_on_first_read_as_slices_of_the_full_transforms(dr
         for degree, read in reads:
             group = report.group(degree)
             if read == "generators":
-                vectors = [chain_vector(report, degree, c) for c in group.torsion_basis + group.basis]
+                vectors = homology._chain_vectors(report, degree, group.torsion_basis + group.basis)
                 generators[degree] = IntegerMatrix.from_rows(vectors, cols=len(report.labels[degree])).transpose()
                 assert built == {}
             else:
@@ -430,7 +429,7 @@ def test_image_of_d2_in_kernel_coordinates_is_a_row_slice(reports, name):
 
 def kernel_coordinate_verdict(report, degree, candidates) -> tuple[bool, str]:
     """The quotient (span + boundaries) in a kernel lattice basis of the cycles."""
-    vectors = [chain_vector(report, degree, c) for c in candidates]
+    vectors = homology._chain_vectors(report, degree, candidates)
     cand = IntegerMatrix.from_rows(vectors, cols=len(report.labels[degree])).transpose()
     differential = {1: report.d1, 2: report.d2}.get(degree)
     if differential is not None:
@@ -517,7 +516,7 @@ def test_coordinates_invert_the_basis_and_kill_the_boundaries(reports, name):
     report = reports[name]
     for degree, boundaries in ((0, report.d1), (1, report.d2), (2, None)):
         group = report.group(degree)
-        vectors = [chain_vector(report, degree, c) for c in group.torsion_basis + group.basis]
+        vectors = homology._chain_vectors(report, degree, group.torsion_basis + group.basis)
         generators = IntegerMatrix.from_rows(vectors, cols=len(report.labels[degree])).transpose()
         assert group.coordinates @ generators == identity(len(vectors)), (name, degree)
         if boundaries is not None:  # a boundary is zero in every free coordinate and 0 mod d_i in torsion row i
