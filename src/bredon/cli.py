@@ -12,7 +12,7 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification mismatch (or a
 computed homology that fails the Euler identity, reported on stderr by
-every command, or a reader that closed stdout early, as ``| head`` does),
+every command, or a stdout closed early, as ``| head`` does, or at start),
 2 usage error (including an option the chosen mode would ignore:
 ``--show-differentials`` or ``--show-snf`` with ``compute --format json``,
 ``--format`` with ``dump --dump-complex`` or ``--dump-tables``), 3 invalid
@@ -381,6 +381,8 @@ def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
     args = _parse(argv) or build_parser().parse_args(argv)
     try:
         status = globals()[f"cmd_{args.command}"](args)
+        if sys.stdout is None:  # fd 1 was closed at start, so print wrote nothing
+            return status or EXIT_MISMATCH
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
     except homology.EulerIdentityError as exc:

@@ -618,6 +618,56 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
         assert (proc.wait(timeout=120), err) == (1, b"")
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["compute", "p1"], 1, ""),  # the output went nowhere, so no success
+        (["compute", "nope"], 2, "unknown group 'nope'; valid names: " + ", ".join(ALL_GROUPS) + "\n"),
+        (["snf", "ragged.json"], 3, "invalid matrix at 1: [3] is too short (row 0 has length 2)\n"),
+    ],
+    ids=["compute", "usage-error", "invalid-input"],
+)
+def test_closed_stdout_at_start_exits_without_a_traceback(tmp_path, argv, code, err):
+    # with fd 1 closed, sys.stdout is None: print writes nothing, and an error keeps its code and message
+    (tmp_path / "ragged.json").write_text("[[1, 2], [3]]", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bredon", *argv],
+        stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, preexec_fn=lambda: os.close(1), timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_entry_returns_the_status_of_main_and_freezes_the_heap():
+    probe = (
+        "import contextlib, gc, io, sys\n"
+        "from bredon.__main__ import run\n"
+        "before = gc.get_freeze_count()\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        code = run()\n"
+        "    except SystemExit as exc:\n"
+        "        code = f'SystemExit({exc.code})'\n"
+        "print(code, before, gc.get_freeze_count() > 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    for argv, code in ((["compute", "p1"], "0"), (["verify"], "1"), (["compute", "--bogus"], "SystemExit(2)")):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout.split(), proc.stderr) == (0, [code, "0", "True"], ""), argv
+
+
+def test_main_never_freezes_the_heap(capsys):
+    before = gc.get_freeze_count()
+    assert main(["compute", "p1"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_entry():
+    tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        assert tomllib.load(f)["project"]["scripts"] == {"bredon": "bredon.__main__:run"}
+
+
 def test_closed_pipe_leaves_a_redirected_stdout_alone():
     class ClosedPipe(io.StringIO):
         def write(self, text):

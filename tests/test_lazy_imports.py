@@ -60,6 +60,22 @@ def test_command_loads_only_what_it_uses(argv, code, unused):
     assert not set(got[1:]) & unused, got
 
 
+@pytest.mark.parametrize("argv", [["compute", "--all", "--format", "json"], ["verify"]])
+def test_process_entry_loads_no_more_than_main(argv):
+    # the entry adds only itself and the built-in gc to what main loads
+    probe = (
+        "import contextlib, io, sys\n"
+        "from {} import {} as entry\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = entry()\n"
+        "print(code, *sys.modules)\n"
+    )
+    via_main = _fresh(probe.format("bredon.cli", "main"), *argv)
+    via_run = _fresh(probe.format("bredon.__main__", "run"), *argv)
+    assert via_run[0] == via_main[0]
+    assert set(via_run) - set(via_main) <= {"bredon.__main__", "gc"}
+
+
 def test_usage_errors_and_help_load_argparse():
     # the fallback exists: an argv the hand parser leaves to argparse loads it
     for argv, code in ((["compute", "--form", "json", "p1"], "0"), (["compute", "--bogus"], "2"), (["--help"], "0")):
