@@ -27,6 +27,7 @@ for those, and each help, usage and error text is argparse's own.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 import types
 
@@ -59,6 +60,8 @@ def _read_json(path: str, stdin: bool = False):
 
     try:
         if stdin and path == "-":
+            if sys.stdin is None:  # fd 0 was closed at start
+                raise OSError("standard input is closed")
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -378,11 +381,18 @@ def _parse(argv) -> types.SimpleNamespace | None:
 def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
     if argv is None:  # the console script passes no arguments
         argv = sys.argv[1:]
+    if sys.stdout is None:  # fd 1 was closed at start: all output, help too, goes nowhere, so nothing succeeds
+        sys.stdout = open(os.devnull, "w")
+        try:
+            return main(argv) or EXIT_MISMATCH
+        except SystemExit as exc:  # argparse's help, or its usage error
+            return exc.code or EXIT_MISMATCH
+        finally:
+            sys.stdout.close()
+            sys.stdout = None
     args = _parse(argv) or build_parser().parse_args(argv)
     try:
         status = globals()[f"cmd_{args.command}"](args)
-        if sys.stdout is None:  # fd 1 was closed at start, so print wrote nothing
-            return status or EXIT_MISMATCH
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
     except homology.EulerIdentityError as exc:
@@ -393,8 +403,6 @@ def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
         # docs advise, point it at devnull so the final flush stays silent;
         # a stdout the caller redirected is left alone.
         if sys.stdout is sys.__stdout__:
-            import os
-
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_MISMATCH
 

@@ -160,18 +160,15 @@ def validate(complex: EquivariantComplex) -> list[str]:
 # ---------------------------------------------------------------------------
 # JSON serialization (the format is checked by bredon.schemas.check)
 
+#: The JSON keys of an orbit, in ``CellOrbit`` field order; a term's keys are ``BoundaryTerm._fields``.
+_ORBIT_KEYS = ("id", "dim", "stabilizer", "label")
+
 
 def to_json_dict(complex: EquivariantComplex) -> dict:
     return {
         "group": complex.group_name,
-        "orbits": [
-            {"id": o.orbit_id, "dim": o.dimension, "stabilizer": o.stabilizer, "label": o.label}
-            for o in complex.orbits
-        ],
-        "boundary": [
-            {"source": t.source, "target": t.target, "sign": t.sign, "embedding": t.embedding}
-            for t in complex.boundary
-        ],
+        "orbits": [dict(zip(_ORBIT_KEYS, o)) for o in complex.orbits],
+        "boundary": [dict(zip(BoundaryTerm._fields, t)) for t in complex.boundary],
     }
 
 
@@ -186,8 +183,8 @@ def from_json_dict(data: dict) -> EquivariantComplex:
 
     schemas.check(data, "complex")
     # one C-level pass per list: ``tuple.__new__`` is what ``_make`` calls, less its length check (always 4 here)
-    orbits = map(itemgetter("id", "dim", "stabilizer", "label"), data["orbits"])
-    terms = map(itemgetter("source", "target", "sign", "embedding"), data["boundary"])
+    orbits = map(itemgetter(*_ORBIT_KEYS), data["orbits"])
+    terms = map(itemgetter(*BoundaryTerm._fields), data["boundary"])
     return EquivariantComplex(
         data["group"],
         tuple(map(tuple.__new__, repeat(CellOrbit), orbits)),

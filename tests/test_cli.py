@@ -102,7 +102,7 @@ def test_dump_roundtrip_matches_direct_compute(capsys, tmp_path, name):
     assert code == 0
     code, direct, _ = run(capsys, "compute", name, "--format", "json")
     assert code == 0
-    assert json.loads(via_file) == json.loads(direct)
+    assert via_file == direct
 
 
 @pytest.mark.parametrize("argv", (["compute", "p1"], ["dump", "--from-file", "{path}"]))
@@ -382,6 +382,7 @@ def _custom_complex_with(keys, value):
         (("orbits", 0, "dim"), 2.0, "orbits/0/dim"),
         (("boundary", 0, "sign"), 1.0, "boundary/0/sign"),
         (("boundary", 0, "sign"), True, "boundary/0/sign"),
+        (("boundary", 3, "sign"), True, "boundary/3/sign"),  # the last term: a check of the whole column misses it
     ],
 )
 def test_from_file_names_the_violation_path(capsys, tmp_path, keys, value, where):
@@ -520,29 +521,121 @@ def test_snf_prints_results_over_the_digit_limit(capsys, tmp_path):
     assert (code, err) == (0, "") and out.startswith("invariant factors: [1, 1000")
 
 
-def test_no_command_needs_jsonschema(tmp_path):
-    complex_path = tmp_path / "p4m.json"
-    complex_path.write_text(gcw.to_json(wallpaper.get_group("p4m")[0]), encoding="utf-8")
-    matrix = tmp_path / "m.json"
-    matrix.write_text("[[2]]", encoding="utf-8")
+def _user_files(directory: Path) -> None:
+    """The input files of ``STANDARD_LIBRARY_ONLY``, written to ``directory``."""
+    cm = gcw.to_json_dict(wallpaper.get_group("cm")[0])
+    files = {
+        "p4m.json": json.loads(gcw.to_json(wallpaper.get_group("p4m")[0])),
+        "m.json": [[2, 4], [6, 8]],
+        "ragged.json": [[1, 2], [3]],
+        "dim.json": {"group": "g", "orbits": [{"id": "e2", "dim": 2.0, "stabilizer": "C1", "label": "gamma"}], "boundary": []},
+        # True in the sign column, on the last term only: a check of a whole column never takes True for 1
+        "cm-true.json": {**cm, "boundary": cm["boundary"][:-1] + [{**cm["boundary"][-1], "sign": True}]},
+        # schema-valid, but the embedding does not fit the stabilizers of its term
+        "cm-bad.json": {
+            **cm,
+            "boundary": [
+                {**t, "embedding": "C2->C2"} if (t["source"], t["target"], t["sign"]) == ("e1^0", "e0", 1) else t
+                for t in cm["boundary"]
+            ],
+        },
+        "compose.json": {
+            "group": "g",
+            "orbits": [
+                {"id": "v", "dim": 0, "stabilizer": "C1", "label": "alpha"},
+                {"id": "e", "dim": 1, "stabilizer": "C1", "label": "beta"},
+                {"id": "f", "dim": 2, "stabilizer": "C1", "label": "gamma"},
+            ],
+            "boundary": [
+                {"source": "e", "target": "v", "sign": 1, "embedding": "C1->C1"},
+                {"source": "f", "target": "e", "sign": 1, "embedding": "C1->C1"},
+            ],
+        },
+    }
+    p1 = gcw.to_json_dict(wallpaper.get_group("p1")[0])  # with a second 2-cell gamma_b on the boundary of gamma
+    p1["orbits"].append({"id": "e2b", "dim": 2, "stabilizer": "C1", "label": "gamma_b"})
+    p1["boundary"] += [{**t, "source": "e2b"} for t in p1["boundary"] if t["source"] == "e2"]
+    files["p1-two.json"] = p1
+    for name, doc in files.items():
+        (directory / name).write_text(json.dumps(doc), encoding="utf-8")
+    (directory / "latin.json").write_bytes(b"\xff\xfe[[1]]")
+    (directory / "bad.json").write_text("{not json", encoding="utf-8")
+
+
+#: (argv, stdin, exit code, stderr or None): each command's success paths, then help,
+#: usage errors, format violations, invalid complexes and unreadable input.
+STANDARD_LIBRARY_ONLY = [
+    (["compute", "p1"], "", 0, ""),
+    (["compute", "--all", "--format", "json"], "", 0, ""),
+    (["compute", "pg", "--show-differentials", "--show-snf"], "", 0, ""),
+    (["compute", "--form", "json", "p1"], "", 0, ""),  # argparse parses the abbreviation
+    (["verify"], "", 1, ""),  # the known cm basis
+    (["verify", "--table3", "--table4"], "", 0, ""),
+    (["dump", "--dump-complex", "p4m"], "", 0, ""),
+    (["dump", "--dump-tables"], "", 0, ""),
+    (["dump", "--from-file", "p4m.json"], "", 0, ""),
+    (["dump", "--from-file", "p1-two.json"], "", 0, ""),
+    (["dump", "--from-file", "p1-two.json", "--format", "json"], "", 0, ""),
+    (["snf", "m.json", "--format", "json"], "", 0, ""),
+    (["snf", "-"], "[[2, 4], [6, 8]]", 0, ""),
+    (["--help"], "", 0, ""),
+    (["dump", "--help"], "", 0, ""),
+    ([], "", 2, None),
+    (["compute", "--bogus"], "", 2, None),
+    (["compute", "nosuch"], "", 2, None),
+    (["dump", "--dump-tables", "--format", "json"], "", 2, None),
+    (["dump", "--from-file", "dim.json"], "", 3, "dim.json: invalid complex at orbits/0/dim: 2.0 is not of type 'integer'\n"),
+    (["dump", "--from-file", "cm-true.json"], "", 3, "cm-true.json: invalid complex at boundary/6/sign: True is not one of [1, -1]\n"),
+    (["snf", "ragged.json"], "", 3, "invalid matrix at 1: [3] is too short (row 0 has length 2)\n"),
+    (["dump", "--from-file", "cm-bad.json"], "", 3, "cm-bad.json: boundary term e1^0->e0: embedding C2->C2 has sub C2, stabilizer is C1\n"),
+    (["dump", "--from-file", "compose.json"], "", 3, "compose.json: differentials do not compose to zero\n"),
+    (["dump", "--from-file", "missing.json"], "", 3, "cannot read missing.json: [Errno 2] No such file or directory: 'missing.json'\n"),
+    (["dump", "--from-file", "-"], "[[1]]", 3, "cannot read -: [Errno 2] No such file or directory: '-'\n"),
+    (["snf", "latin.json"], "", 3, None),
+    (["snf", "bad.json"], "", 3, "bad.json:1:2: Expecting property name enclosed in double quotes\n"),
+]
+
+
+def test_no_command_needs_jsonschema(capsys, monkeypatch, tmp_path):
+    # A ``python -S`` child, with only src on its path: no site-packages, so no jsonschema,
+    # runs every case with the bytes, exit code and stderr of main in this process.
+    _user_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage lines to the terminal width
     probe = (
-        "import contextlib, io, sys\n"
-        "sys.modules['jsonschema'] = None  # any import of it raises ImportError\n"
+        "import contextlib, importlib.util, io, json, sys\n"
         "from bredon.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "print(code)\n"
+        "results = [importlib.util.find_spec('jsonschema') is None]\n"
+        "for argv, stdin, _, _ in json.loads(sys.argv[1]):\n"
+        "    sys.stdin, out, err = io.StringIO(stdin), io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    results.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps(results))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
-    for argv, expected in (
-        (["compute", "p1"], 0),
-        (["verify"], 1),
-        (["dump", "--dump-tables"], 0),
-        (["dump", "--from-file", str(complex_path)], 0),
-        (["snf", str(matrix)], 0),
-    ):
-        proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, timeout=120)
-        assert (proc.returncode, proc.stdout.strip(), proc.stderr) == (0, str(expected), ""), argv
+    argv = [sys.executable, "-S", "-c", probe, json.dumps(STANDARD_LIBRARY_ONLY)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    no_jsonschema, *results = json.loads(proc.stdout)
+    assert no_jsonschema
+    for (argv, stdin, code, err), child in zip(STANDARD_LIBRARY_ONLY, results, strict=True):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        try:
+            expected = main(argv)
+        except SystemExit as exc:
+            expected = exc.code
+        assert child == [expected, *capsys.readouterr()], argv
+        assert child[0] == code and err in (None, child[2]), argv
+    by_argv = {" ".join(argv): child for (argv, *_), child in zip(STANDARD_LIBRARY_ONLY, results)}
+    assert by_argv["dump --from-file p1-two.json"][1] == (
+        "group  H_2  H_1  basis H_1          H_0  basis H_0\np1     Z^2  Z^2  [beta_1] [beta_2]  Z    [alpha]\n"
+    )
+    h2 = json.loads(by_argv["dump --from-file p1-two.json --format json"][1])["homology"][2]
+    assert h2["basis"] == [[["gamma", 1]], [["gamma_b", 1]]]
 
 
 
@@ -597,6 +690,18 @@ def test_argvs_left_to_argparse_match_fresh_processes(capsys, monkeypatch, argv,
     assert (code, *capsys.readouterr()) == (proc.returncode, proc.stdout, proc.stderr) and code == expected
 
 
+@pytest.mark.parametrize(
+    "argv, written_out",
+    [
+        (["compute", "--form", "json", "p1"], ["compute", "p1", "--format", "json"]),
+        (["compute", "--format=json", "--al"], ["compute", "--all", "--format", "json"]),
+        (["dump", "--dump-c", "p2"], ["dump", "--dump-complex", "p2"]),
+    ],
+)
+def test_an_argv_left_to_argparse_writes_the_bytes_of_its_full_spelling(capsys, argv, written_out):
+    assert run(capsys, *argv) == run(capsys, *written_out)
+
+
 def test_main_looks_up_the_command_function_on_each_call(capsys, monkeypatch):
     from bredon import cli
 
@@ -624,18 +729,30 @@ def test_closed_stdout_pipe_exits_1_without_a_traceback(tmp_path):
         (["compute", "p1"], 1, ""),  # the output went nowhere, so no success
         (["compute", "nope"], 2, "unknown group 'nope'; valid names: " + ", ".join(ALL_GROUPS) + "\n"),
         (["snf", "ragged.json"], 3, "invalid matrix at 1: [3] is too short (row 0 has length 2)\n"),
+        (["--help"], 1, ""),  # help went nowhere too, and argparse's fallback to stderr is not taken
+        (["compute", "--help"], 1, ""),
+        (["compute", "--bogus"], 2, "usage: bredon [-h] {compute,verify,dump,snf} ...\nbredon: error: unrecognized arguments: --bogus\n"),
     ],
-    ids=["compute", "usage-error", "invalid-input"],
+    ids=["compute", "usage-error", "invalid-input", "help", "command-help", "argparse-usage-error"],
 )
 def test_closed_stdout_at_start_exits_without_a_traceback(tmp_path, argv, code, err):
-    # with fd 1 closed, sys.stdout is None: print writes nothing, and an error keeps its code and message
+    # with fd 1 closed, sys.stdout is None: all output goes nowhere, and an error keeps its code and message
     (tmp_path / "ragged.json").write_text("[[1, 2], [3]]", encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1]), "COLUMNS": "80"}
     proc = subprocess.run(
         [sys.executable, "-m", "bredon", *argv],
         stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, preexec_fn=lambda: os.close(1), timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (code, err)
+
+
+def test_closed_stdin_at_start_is_invalid_input(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bredon", "snf", "-"],
+        capture_output=True, text=True, env=env, preexec_fn=lambda: os.close(0), timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", "cannot read -: standard input is closed\n")
 
 
 def test_entry_returns_the_status_of_main_and_freezes_the_heap():
@@ -663,9 +780,10 @@ def test_main_never_freezes_the_heap(capsys):
 
 
 def test_console_script_is_the_entry():
-    tomllib = pytest.importorskip("tomllib")  # 3.11 and later
-    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
-        assert tomllib.load(f)["project"]["scripts"] == {"bredon": "bredon.__main__:run"}
+    # read without tomllib, which 3.10 lacks: the table's lines up to the next table
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert table.split() == ["bredon", "=", '"bredon.__main__:run"']
 
 
 def test_closed_pipe_leaves_a_redirected_stdout_alone():

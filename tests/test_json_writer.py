@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bredon import gcw, schemas, wallpaper
+from bredon.cli import main
 from bredon.homology import compute_homology, report_to_json, report_to_json_dict
 from bredon.intlinalg import IntegerMatrix
 from subdivision import subdivided_group
@@ -116,10 +117,20 @@ def test_matrix_writer_on_edge_shapes(cols, rows):
     assert_matrix_text(cols, rows)
 
 
-@pytest.mark.parametrize("name, steps", [(name, 0) for name in wallpaper.list_groups()] + [("p4g", 80), ("cm", 60)])
+@pytest.mark.parametrize(
+    "name, steps", [(name, 0) for name in wallpaper.list_groups()] + [("p4g", 80), ("cm", 60), ("p6m", 240)]
+)
 def test_report_writer_matches_the_dense_report(name, steps):
     report = compute_homology(gcw.from_json_dict(subdivided_group(name, steps)))
     assert report_to_json(report) == json.dumps(report_to_json_dict(report), indent=2)
+
+
+@pytest.mark.parametrize("argv", [["compute", "--all", "--format", "json"], ["dump", "--dump-tables"]])
+def test_cli_output_is_what_the_standard_library_writes(capsys, argv):
+    # as ``python -m json.tool --indent 2`` would rewrite it
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name", wallpaper.list_groups())
