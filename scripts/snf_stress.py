@@ -5,10 +5,11 @@ Draws random integer matrices, recomputes D = P*A*Q and the transform
 inverses, and checks shape, positivity and the divisibility chain.
 Trials alternate dense draws (entries up to --max-entry) with sparse 0/+-1
 draws shaped like differentials (at most 3 nonzeros per column); --sparse
-draws only the latter.  Every draw is also reduced on both row storages of
-the reduction, list rows and dict rows, which must log the same operations
-as ``smith_normal_form``; the report counts the draws that
-``smith_normal_form`` reduced on each storage.  Each
+draws only the latter.  Every draw is also reduced as given on both row
+storages of the reduction, list rows and dict rows, which must log the same
+operations as ``smith_normal_form_as_given``; the report counts the draws
+that ``smith_normal_form`` reduced on each storage, and those it reduced as
+their transpose, having more rows than columns.  Each
 transform is built by replaying its operation log in reverse on dict rows of
 nonzeros, one code path for dense and sparse draws alike: an add walks the
 nonzeros of its source row and deletes each entry it cancels.
@@ -32,7 +33,7 @@ import sys
 import time
 
 from bredon import intlinalg
-from bredon.intlinalg import IntegerMatrix, Presentation, SNFDecomposition, smith_normal_form
+from bredon.intlinalg import IntegerMatrix, Presentation, SNFDecomposition, smith_normal_form, smith_normal_form_as_given
 
 STORAGES = (intlinalg._DenseRows, intlinalg._SparseRows)
 
@@ -62,7 +63,8 @@ def bits(m: IntegerMatrix) -> int:
 
 def check_one(a: IntegerMatrix, snf: SNFDecomposition) -> str | None:
     m, n = a.rows, a.cols
-    log = (snf.invariant_factors, snf.row_ops, snf.col_ops)
+    given = smith_normal_form_as_given(a)
+    log = (given.invariant_factors, given.row_ops, given.col_ops)
     for storage in STORAGES:
         other = intlinalg._reduce(a, storage(a))
         if (other.invariant_factors, other.row_ops, other.col_ops) != log:
@@ -122,11 +124,13 @@ def main() -> int:
     started = time.monotonic()
     p_bits = q_bits = 0
     took = dict.fromkeys(STORAGES, 0)
+    transposed = 0
     for trial in range(args.count):
         sparse = args.sparse or trial % 2 == 1
         a = draw(rng, args.max_dim, args.max_entry, sparse)
         snf = smith_normal_form(a)
         took[intlinalg._row_storage(a)] += 1
+        transposed += a.rows > a.cols
         if problem := check_one(a, snf):
             print(f"trial {trial}: {problem}", file=sys.stderr)
             return 1
@@ -136,7 +140,8 @@ def main() -> int:
     rate = args.count / elapsed if elapsed else float("inf")
     print(
         f"{args.count} decompositions verified in {elapsed:.2f}s ({rate:.0f}/s);"
-        f" reduced on list rows {took[intlinalg._DenseRows]}, on dict rows {took[intlinalg._SparseRows]}"
+        f" reduced on list rows {took[intlinalg._DenseRows]}, on dict rows {took[intlinalg._SparseRows]},"
+        f" as their transpose {transposed}"
         + ("" if args.sparse else f"; largest dense transform entries: P {p_bits} bits, Q {q_bits} bits")
     )
     return 0

@@ -161,6 +161,7 @@ def validate(complex: EquivariantComplex) -> list[str]:
 # JSON serialization (the format is checked by bredon.schemas.check)
 
 #: The JSON keys of an orbit, in ``CellOrbit`` field order; a term's keys are ``BoundaryTerm._fields``.
+#: ``schemas`` declares the complex format from both.
 _ORBIT_KEYS = ("id", "dim", "stabilizer", "label")
 
 

@@ -4,6 +4,8 @@ One uniform algorithm serves every complex, with two reductions per
 complex, and reads every group as an ``intlinalg.Presentation``: its
 torsion chain, a generator column per invariant and the matching coordinate
 rows, which send a cycle to its class in Z/d_1 + ... + Z/d_t + Z^f.
+Both reduce d1 and K as given (``smith_normal_form_as_given``), whatever
+their shapes, as their operation logs fix the reported bases.
 D1 = P1*d1*Q1 of rank k gives H0 = coker d1 and the kernel k1 of d1, the
 columns of Q1 and rows of Q1^-1 from k on.  As Q1 is unimodular and
 d1*d2 = 0, d2 in the kernel basis is K = k1's coordinates times d2, with
@@ -32,7 +34,7 @@ from operator import matmul, mul
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
 from .gcw import EquivariantComplex, InvalidComplexError, differentials  # noqa: F401
-from .intlinalg import DeferredMatrix, IntegerMatrix, Presentation, smith_normal_form
+from .intlinalg import DeferredMatrix, IntegerMatrix, Presentation, smith_normal_form, smith_normal_form_as_given
 
 #: A chain over the degree-d generators: ((label, coefficient), ...).
 Chain = tuple[tuple[str, int], ...]
@@ -117,13 +119,13 @@ def compute_homology(complex: EquivariantComplex) -> HomologyReport:
 def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
     d1, d2 = differentials(complex)
     labels = complex.layout.labels
-    snf1 = smith_normal_form(d1)
+    snf1 = smith_normal_form_as_given(d1)
     h0 = _group(0, labels[0], snf1.cokernel())
     # One reduction of K = k1.coordinates @ d2 serves H_1 = coker K and H_2: D1 = P1*d1*Q1 and d1*d2 = 0
     # force the first rank(d1) rows of Q1^-1*d2 to be zero, the remaining rows are K, and Q1^-1 is
     # unimodular, so ker K = ker d2 and K has d2's invariant factors (no SNF of d2 alone is needed).
     k1 = snf1.kernel()
-    snf_k = smith_normal_form(k1.coordinates @ d2)
+    snf_k = smith_normal_form_as_given(k1.coordinates @ d2)
     cok = snf_k.cokernel()
     # the product keeps only the two coordinate matrices, not k1's generators, until it is read
     coordinates = DeferredMatrix(cok.coordinates.rows, d1.cols, partial(matmul, cok.coordinates, k1.coordinates))
@@ -203,7 +205,8 @@ def verify_basis(
     t torsion rows: its torsion is the invariant factors of C above 1 and its
     free rank is t + f less the rank of C.  One Smith normal form of C, a
     matrix with a row per invariant of the group, decides it, and only its
-    invariant factors are read, so no transform is built.
+    invariant factors are read, so no transform is built and the orientation
+    ``smith_normal_form`` reduces C in does not matter.
     """
     if degree not in (0, 1, 2):
         raise ValueError("degree must be 0, 1 or 2")

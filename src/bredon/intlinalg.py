@@ -8,6 +8,13 @@ read off from it.  Once pivot t is placed, its row and column are zero off
 the diagonal and stay so, so the reduction works only on the active block
 from index t on.
 
+A matrix with more rows than columns is reduced as its transpose: a
+pivot's Euclidean rounds are row operations down its column, and P is
+replayed from the row log, so the wide orientation is the cheaper one.
+``smith_normal_form_as_given`` reduces a matrix as given, whatever its
+shape; the homology reduces d1 and K that way, as their logs fix the
+bases it reports.
+
 A pivot clears its column before its row, and every quotient is rounded to
 the nearest integer, so each Euclidean remainder is at most half the pivot
 and a dense matrix takes fewer operations.  Where no pivot leaves a remainder
@@ -421,9 +428,22 @@ def _replay(log: list[tuple[int, int, int]], size: int, inverse: bool, transpose
 
 
 def smith_normal_form(a: IntegerMatrix) -> SNFDecomposition:
-    """Classical reduction with minimal-|pivot| selection, on the working
-    storage ``_row_storage`` picks.  Invariant factors come out positive and
-    each divides the next."""
+    """The decomposition of ``a``, reduced as its transpose when it has more rows than columns.
+
+    A column operation on aᵀ is the same row operation on a, so aᵀ's column log is a's row
+    log and its row log a's column log: P, Q, their inverses, kernel and cokernel come from
+    the same replays, with P the transpose of aᵀ's Q and Q the transpose of its P."""
+    if a.rows <= a.cols:
+        return smith_normal_form_as_given(a)
+    flipped = smith_normal_form_as_given(a.transpose())
+    return SNFDecomposition(a, flipped.invariant_factors, flipped.col_ops, flipped.row_ops)
+
+
+def smith_normal_form_as_given(a: IntegerMatrix) -> SNFDecomposition:
+    """Classical reduction of ``a`` in its own orientation, with minimal-|pivot|
+    selection, on the working storage ``_row_storage`` picks.  Invariant factors
+    come out positive and each divides the next.  The homology reduces d1 and K
+    this way: their operation logs fix the bases it reports."""
     return _reduce(a, _row_storage(a)(a))
 
 

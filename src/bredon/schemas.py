@@ -3,8 +3,9 @@ complex and a matrix, and ``dumps``, the writer of every indented output.
 
 Each format is declared as data shaped like the document it accepts: a
 dict is an object with exactly those keys, a list an array of its one
-item spec, ``str`` and ``int`` the JSON types (``int`` admits neither
-``true``/``false`` nor floats such as ``2.0``), a ``range`` an integer
+item spec, ``str`` and ``int`` the JSON types (``str`` admits no text that
+UTF-8 cannot encode, such as the lone surrogate ``"\\ud800"``, and ``int``
+neither ``true``/``false`` nor floats such as ``2.0``), a ``range`` an integer
 interval and a tuple the allowed values, all of one type.  An array of
 arrays is a matrix: every row must be as long as the first.  A predicate
 compiled from the spec on first use accepts a valid document in C-level
@@ -18,7 +19,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import itemgetter
 
-from . import chartab
+from . import chartab, gcw
 from .intlinalg import IntegerMatrix
 
 
@@ -37,8 +38,8 @@ class _Row(list):
 _FORMATS = {
     "complex": {
         "group": str,
-        "orbits": _NonEmpty([{"id": str, "dim": range(3), "stabilizer": chartab.GROUP_IDS, "label": str}]),
-        "boundary": [{"source": str, "target": str, "sign": (1, -1), "embedding": str}],
+        "orbits": _NonEmpty([dict(zip(gcw._ORBIT_KEYS, (str, range(3), chartab.GROUP_IDS, str)))]),
+        "boundary": [dict(zip(gcw.BoundaryTerm._fields, (str, str, (1, -1), str)))],
     },
     "matrix": [[int]],
 }
@@ -70,6 +71,8 @@ def _reason(value, spec) -> str | None:
     json_type = spec if isinstance(spec, type) else _SPEC_TYPES[type(spec)]
     if not (type(value) is int if json_type is int else isinstance(value, json_type)):
         return f"{_shown(value)} is not of type {_TYPE_NAMES[json_type]!r}"
+    if spec is str and not _encodes(value):
+        return f"{_shown(value)} cannot be encoded as UTF-8"
     if isinstance(spec, range) and value not in spec:
         if value < spec.start:
             return f"{_shown(value)} is less than the minimum of {spec.start}"
@@ -92,6 +95,15 @@ def _reason(value, spec) -> str | None:
     return None
 
 
+def _encodes(text: str) -> bool:
+    """Whether UTF-8 encodes ``text``: not when it holds a lone surrogate, which a JSON escape can make."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _children(path: tuple, value, spec) -> list:
     if isinstance(spec, dict):
         return [(path + (key,), value[key], item) for key, item in spec.items()]
@@ -112,8 +124,8 @@ def _accepts(spec):
         return lambda col: set(map(type, col)) <= types and set(col) <= allowed
     if spec is int or isinstance(spec, range):
         return lambda col: set(map(type, col)) <= {int} and (spec is int or all(map(spec.__contains__, col)))
-    if isinstance(spec, type):
-        return lambda col: all(map(isinstance, col, repeat(spec)))
+    if spec is str:
+        return lambda col: all(map(isinstance, col, repeat(str))) and _encodes("".join(col))
     if isinstance(spec, dict):
         keys, fields = spec.keys(), [(itemgetter(key), _accepts(item)) for key, item in spec.items()]
         objects = lambda col: all(map(isinstance, col, repeat(dict))) and all(map(keys.__eq__, map(dict.keys, col)))

@@ -115,7 +115,7 @@ def dense_replay(log: list[tuple[int, int, int]], size: int, inverse: bool, tran
 def reference_reduction(a: IntegerMatrix, zero_quotients: list | None = None) -> tuple[tuple[int, ...], list, list]:
     """(invariant factors, row log, column log) of the reduction with
     minimal-|pivot| selection, each operation applied to whole rows and
-    columns in the order ``intlinalg.smith_normal_form`` logs it: column t
+    columns in the order ``intlinalg.smith_normal_form_as_given`` logs it: column t
     is cleared before row t, every quotient rounded to the nearest integer.
     A quotient that rounds to 0 applies and logs nothing; (row, pivot) of
     each such quotient below a pivot is appended to ``zero_quotients``."""

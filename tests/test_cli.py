@@ -312,6 +312,24 @@ def test_non_utf8_file_is_invalid_input(capsys, tmp_path, command):
     assert err.startswith(f"cannot read {path}: ") and "utf-8" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_label_utf8_cannot_encode_is_invalid_input(tmp_path, fmt):
+    # JSON's "\ud800" escape parses to a lone surrogate, which the text report could not print
+    data = gcw.to_json_dict(wallpaper.get_group("p1")[0])
+    alpha = next(i for i, orbit in enumerate(data["orbits"]) if orbit["label"] == "alpha")
+    data["orbits"][alpha]["label"] = "\ud800"
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(bredon.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bredon", "dump", "--from-file", str(path), "--format", fmt],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    where = f"orbits/{alpha}/label"
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"{path}: invalid complex at {where}: '\\ud800' cannot be encoded as UTF-8\n"
+
+
 def test_snf_closes_its_file(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text("[[2, 4], [6, 8]]", encoding="utf-8")

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bredon import intlinalg
-from bredon.intlinalg import IntegerMatrix, smith_normal_form
+from bredon.intlinalg import IntegerMatrix, smith_normal_form, smith_normal_form_as_given
 from snf_helpers import (
     classical_reduction,
     cokernel,
@@ -390,7 +390,7 @@ def test_restricted_replays_are_slices_of_the_full_transforms(a):
 
 
 def assert_logs_match_the_reference(a: IntegerMatrix) -> None:
-    snf = smith_normal_form(a)
+    snf = smith_normal_form_as_given(a)
     assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == reference_reduction(a)
 
 
@@ -418,12 +418,34 @@ def test_homology_path_logs_match_the_classical_reduction():
 
     for name in wallpaper.list_groups():
         d1, d2 = differentials(wallpaper.get_group(name)[0])
-        snf1 = smith_normal_form(d1)
+        snf1 = smith_normal_form_as_given(d1)
         n, k = d1.cols, snf1.rank
         # d1, d2 and the degree-1 matrix Q1^-1[k:, :] @ d2 that compute_homology reduces
         for a in (d1, d2, IntegerMatrix(n - k, n, snf1.Q_inv.nonzeros[k:]) @ d2):
-            snf = smith_normal_form(a)
+            snf = smith_normal_form_as_given(a)
             assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == classical_reduction(a), name
+
+
+@pytest.mark.parametrize("m, n", [(8, 7), (24, 8), (5, 1), (3, 0), (7, 7), (1, 1), (7, 8), (8, 24), (1, 5), (0, 3)])
+def test_a_tall_matrix_is_reduced_as_its_transpose(m, n):
+    # a column operation on a^T is the same row operation on a, so the logs swap places
+    rng = random.Random(f"orientation-{m}x{n}")
+    for _ in range(4):
+        if rng.random() < 0.5:
+            rows = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(m)]
+        else:
+            rows = [[rng.choice((0, 0, 0, 1, -1)) for _ in range(n)] for _ in range(m)]
+        a = IntegerMatrix.from_rows(rows, cols=n)
+        snf = smith_normal_form(a)
+        if m > n:
+            flipped = smith_normal_form_as_given(a.transpose())
+            expected = (flipped.invariant_factors, flipped.col_ops, flipped.row_ops)
+        else:
+            given = smith_normal_form_as_given(a)
+            expected = (given.invariant_factors, given.row_ops, given.col_ops)
+        assert (snf.invariant_factors, snf.row_ops, snf.col_ops) == expected
+        assert snf.P @ a @ snf.Q == snf.D
+        assert snf.P @ snf.P_inv == identity(m) and snf.Q @ snf.Q_inv == identity(n)
 
 
 def test_a_zero_quotient_is_neither_applied_nor_logged():
