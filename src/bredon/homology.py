@@ -13,9 +13,9 @@ d2's kernel and invariant factors.  The decomposition of K gives both
 H1 = coker K, whose generators return to chains through k1's generators and
 whose coordinates are the cokernel's times k1's, and H2 = ker K = ker d2.
 One builder turns each presentation into a group over the generator labels,
-torsion generators first.  A group's coordinates are built on the first read
-of their entries, so a report that is only printed replays no coordinate
-rows but k1's, which K needs.
+torsion generators first.  Every group's coordinates are built with the
+report but H0's, which are built on the first read of their entries (see
+``intlinalg.SNFDecomposition``).
 
 ``verify_basis`` checks a candidate family of labeled chains against a
 computed group: every candidate must be a cycle and the candidates'
@@ -28,13 +28,12 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from functools import partial
 from itertools import compress
-from operator import matmul, mul
+from operator import mul
 
 # InvalidComplexError is re-exported: compute_homology raises it for an invalid complex.
 from .gcw import EquivariantComplex, InvalidComplexError, differentials  # noqa: F401
-from .intlinalg import DeferredMatrix, IntegerMatrix, Presentation, smith_normal_form, smith_normal_form_as_given
+from .intlinalg import IntegerMatrix, Presentation, smith_normal_form, smith_normal_form_as_given
 
 #: A chain over the degree-d generators: ((label, coefficient), ...).
 Chain = tuple[tuple[str, int], ...]
@@ -63,8 +62,8 @@ class HomologyGroup(namedtuple("HomologyGroup", "degree free_rank torsion basis 
 
     ``coordinates``, a row per torsion factor then per free rank, sends a cycle to
     its class, row i < len(torsion) modulo torsion[i], and ``torsion_basis + basis``
-    to the identity; it is not written to JSON, and its entries are built on their
-    first read (``intlinalg.DeferredMatrix``), as only ``verify_basis`` reads them."""
+    to the identity; it is not written to JSON, and only ``verify_basis`` reads it.
+    H_0's is an ``intlinalg.DeferredMatrix``, built on the first read of its entries."""
 
     __slots__ = ()
 
@@ -127,9 +126,7 @@ def _reduce_complex(complex: EquivariantComplex) -> HomologyReport:
     k1 = snf1.kernel()
     snf_k = smith_normal_form_as_given(k1.coordinates @ d2)
     cok = snf_k.cokernel()
-    # the product keeps only the two coordinate matrices, not k1's generators, until it is read
-    coordinates = DeferredMatrix(cok.coordinates.rows, d1.cols, partial(matmul, cok.coordinates, k1.coordinates))
-    h1 = _group(1, labels[1], Presentation(cok.torsion, k1.generators @ cok.generators, coordinates))
+    h1 = _group(1, labels[1], Presentation(cok.torsion, k1.generators @ cok.generators, cok.coordinates @ k1.coordinates))
     h2 = _group(2, labels[2], snf_k.kernel())
     return HomologyReport(
         group_name=complex.group_name,

@@ -166,9 +166,14 @@ class SNFDecomposition:
     built on first read by one walk of its log in reverse (see ``_replay``) and cached, so
     a caller pays only for the transforms it reads; D is built from the invariant factors,
     also on first read.  ``kernel`` and ``cokernel`` replay only the generator columns they
-    return; their coordinates, a ``DeferredMatrix``, are the same rows of the inverse
-    transform, replayed in a second walk on the first read of their entries, so
-    ``coordinates @ generators`` is the identity by construction.  Neither is cached.
+    return, and their coordinates are the same rows of the inverse transform, replayed in
+    a second walk, so ``coordinates @ generators`` is the identity by construction.
+    Neither is cached.
+
+    A kernel's coordinates are built with it; a cokernel's are a ``DeferredMatrix``,
+    replayed on the first read of their entries.  That is the one deferral that pays: the
+    cokernel of d1 is H_0, its coordinates a second walk of d1's row log, the longest log
+    of a complex, and only ``verify_basis`` of an H_0 basis reads them.
     """
 
     def __init__(self, matrix: IntegerMatrix, invariant_factors: tuple[int, ...], row_ops: list, col_ops: list) -> None:
@@ -202,21 +207,17 @@ class SNFDecomposition:
 
     def kernel(self) -> "Presentation":
         """ker(A), free: Q's columns and Q_inv's rows from the rank on."""
-        return _presentation((), self.col_ops, self.matrix.cols, self.rank, False)
+        log, n, k = self.col_ops, self.matrix.cols, self.rank
+        return Presentation((), _replay(log, n, False, False, k), _replay(log, n, True, True, k))
 
     def cokernel(self) -> "Presentation":
-        """coker(A): P_inv's columns and P's rows from the rank less the torsion count on."""
+        """coker(A): P_inv's columns and P's rows from the rank less the torsion count on, the rows
+        built on the first read of their entries (``_replay`` is looked up then)."""
         # The factors > 1 end the divisibility chain, so they are the last t before the rank.
         torsion = tuple(d for d in self.invariant_factors if d > 1)
-        first = self.rank - len(torsion)
-        return _presentation(torsion, self.row_ops, self.matrix.rows, first, True)
-
-
-def _presentation(torsion: tuple[int, ...], log: list, size: int, first: int, inverse: bool) -> "Presentation":
-    """The generators, columns ``first`` onward of the ``inverse`` replay of ``log``, built now, and the
-    coordinates, the same rows of its inverse, built on first read (``_replay`` is looked up then)."""
-    coordinates = DeferredMatrix(size - first, size, lambda: _replay(log, size, not inverse, True, first))
-    return Presentation(torsion, _replay(log, size, inverse, False, first), coordinates)
+        log, m, first = self.row_ops, self.matrix.rows, self.rank - len(torsion)
+        coordinates = DeferredMatrix(m - first, m, lambda: _replay(log, m, False, True, first))
+        return Presentation(torsion, _replay(log, m, True, False, first), coordinates)
 
 
 class Presentation(namedtuple("Presentation", "torsion generators coordinates")):
@@ -226,8 +227,7 @@ class Presentation(namedtuple("Presentation", "torsion generators coordinates"))
     ``coordinates``, the matching rows, sends a vector to its class, row
     i < t modulo d_i, so ``coordinates @ generators`` is the identity.  The
     vectors are those of ker(A) for a kernel, all of Z^m for a cokernel.
-    ``kernel`` and ``cokernel`` build the coordinates on the first read of
-    their entries.
+    A cokernel's coordinates are built on the first read of their entries.
     """
 
     __slots__ = ()

@@ -25,7 +25,7 @@ class GroupRecord(namedtuple("GroupRecord", "name point_group split has_glide_re
     __slots__ = ()
 
 
-# Point group, split extension or not, glide reflections: what stabilizers cannot give.
+# Point group, split extension or not (iff a 0-cell's stabilizer has the point group's order), glide reflections.
 _HAND = {
     "p1": ("C1", "n/a", False),
     "p2": ("C2", "yes", False),
@@ -37,8 +37,8 @@ _HAND = {
     "pgg": ("D2", "no", True),
     "cmm": ("D2", "yes", True),
     "p4": ("C4", "yes", False),
-    "p4m": ("D4", "no", True),
-    "p4g": ("D4", "yes", True),
+    "p4m": ("D4", "yes", True),
+    "p4g": ("D4", "no", True),
     "p3": ("C3", "yes", False),
     "p3m1": ("D3", "yes", True),
     "p31m": ("D3", "yes", True),

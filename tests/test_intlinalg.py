@@ -365,11 +365,11 @@ def shaped_matrices(draw, max_dim=8):
 def test_restricted_replays_are_slices_of_the_full_transforms(a):
     snf = smith_normal_form(a)
     m, n, k = a.rows, a.cols, snf.rank
-    kernel = snf.kernel()  # one walk of the column log
+    kernel = snf.kernel()  # two walks of the column log, one per part
     assert kernel.torsion == () and kernel.generators == take_columns(snf.Q, range(k, n))
     assert kernel.coordinates == IntegerMatrix(n - k, n, snf.Q_inv.nonzeros[k:])
     assert kernel.coordinates @ kernel.generators == identity(n - k)
-    cok = snf.cokernel()  # one walk of the row log
+    cok = snf.cokernel()  # one walk of the row log, and one more on the first read of its coordinates
     torsion_positions = [i for i, d in enumerate(snf.invariant_factors) if d > 1]
     assert cok.torsion == tuple(snf.invariant_factors[i] for i in torsion_positions)
     # P_inv's torsion columns, then its free ones

@@ -13,11 +13,11 @@ and one table per orbit); the transforms
 P, P_inv, Q and Q_inv built from a decomposition's operation logs are
 counted by patching ``intlinalg._replay``, one walk of a log per transform,
 keyed by that transform and the first column it keeps.  ``compute_homology``
-replays only the columns and rows it reads, in five walks (each cokernel's
-P_inv columns, each kernel's Q columns, and the Q_inv rows of d1's kernel,
-which the H_1 matrix needs), ``bredon snf`` the full P and Q, and the first
-``verify_basis`` of a degree that group's coordinates, the rows of the
-inverse of its generators' transform, in one more walk.  The coordinates
+replays only the columns and rows it reads, in seven walks (each cokernel's
+P_inv columns, each kernel's Q columns and Q_inv rows, and the P rows of the
+H_1 matrix's cokernel, which H_1's coordinates need), ``bredon snf`` the full
+P and Q, and the first ``verify_basis`` of degree 0 H_0's coordinates, the
+rows of d1's P, in one more walk; degrees 1 and 2 make none.  The coordinates
 each homology group keeps are checked against slices of the full
 transforms, read in any order, and against its own basis and boundaries,
 and the verdicts that ``verify_basis`` reads off them are
@@ -284,31 +284,31 @@ def restricted_replays(report) -> Counter:
     """The (transform, first) walks ``compute_homology`` makes for ``report``.
 
     d1 of rank k1: P_inv's columns from k1 - t0 for the generators of H_0,
-    then Q's columns and, in a second walk, Q_inv's rows from k1, for its
-    kernel and d2 in kernel coordinates; the H_1 matrix of rank k, which is
-    d2's rank k2: P_inv's columns from k - t1 for its cokernel, and Q's
-    columns from k2 for the basis of H_2.  No group's coordinates are built.
+    then Q's columns and Q_inv's rows from k1, for its kernel and d2 in
+    kernel coordinates; the H_1 matrix of rank k, which is d2's rank k2:
+    P_inv's columns and P's rows from k - t1 for its cokernel, the rows for
+    H_1's coordinates, and Q's columns and Q_inv's rows from k2 for H_2.
+    Every group's coordinates are built but H_0's.
     """
     k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
     h0, h1 = report.group(0), report.group(1)
-    k = report.d1.cols - k1 - h1.free_rank
-    return Counter([("P_inv", k1 - len(h0.torsion)), ("Q", k1), ("Q_inv", k1), ("Q", k2), ("P_inv", k - len(h1.torsion))])
+    first = report.d1.cols - k1 - h1.free_rank - len(h1.torsion)  # k - t1
+    cokernels = [("P_inv", k1 - len(h0.torsion)), ("P_inv", first), ("P", first)]
+    return Counter(cokernels + [("Q", k1), ("Q_inv", k1), ("Q", k2), ("Q_inv", k2)])
 
 
 def coordinate_replays(report, degree: int) -> Counter:
-    """The one walk the first read of H_degree's coordinates makes: d1's P rows from k1 - t0 for H_0,
-    and for H_1 the P rows of the H_1 matrix, of rank k2, from k2 - t1 (k1's Q_inv rows are built
-    already), and for H_2 its Q_inv rows from k2."""
-    k1, k2 = len(report.invariant_factors_d1), len(report.invariant_factors_d2)
-    t = len(report.group(degree).torsion)
-    return Counter([(("P", k1 - t), ("P", k2 - t), ("Q_inv", k2))[degree]])
+    """The walks the first read of H_degree's coordinates makes: one for H_0, d1's P rows from
+    k1 - t0, and none for H_1 and H_2, whose coordinates are built with the report."""
+    k1, t0 = len(report.invariant_factors_d1), len(report.group(0).torsion)
+    return Counter([("P", k1 - t0)] if degree == 0 else [])
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
 def test_compute_homology_builds_five_transforms(built, reports, name):
     complex = wallpaper.get_group(name)[0]._replace()  # a fresh copy, not yet reduced
     compute_homology(complex)
-    # five walks, each building one restricted transform; a replay from first 0 builds a full
+    # seven walks, each building one restricted transform; a replay from first 0 builds a full
     # transform, only where every column is read
     assert built == restricted_replays(reports[name])
     built.clear()
@@ -334,10 +334,10 @@ def test_verify_builds_each_groups_transforms_once(reports, built, fresh_builtin
     for _ in range(2):
         with redirect_stdout(io.StringIO()):
             assert cli.main(["verify"]) == 1
-    # each group's reduction, and the coordinates of the H_1 and H_0 bases it checks
+    # each group's reduction, and the coordinates of the H_0 basis it checks (the H_1 ones are built already)
     expected = Counter()
     for report in map(reports.get, ALL_GROUPS):
-        expected += restricted_replays(report) + coordinate_replays(report, 1) + coordinate_replays(report, 0)
+        expected += restricted_replays(report) + coordinate_replays(report, 0)
     assert built == expected
 
 
@@ -415,6 +415,19 @@ def test_coordinates_are_built_on_first_read_as_slices_of_the_full_transforms(dr
         group = report.group(degree)
         assert group.coordinates == expected[degree], degree
         assert group.coordinates @ generators[degree] == identity(generators[degree].cols), degree
+
+
+def test_h1_and_h2_coordinates_are_built_with_the_report_and_h0s_wait():
+    fresh = [wallpaper.get_group(name)[0]._replace() for name in ALL_GROUPS] + [b() for b in MORE_COMPLEXES.values()]
+    for report in map(compute_homology, fresh):
+        h0, h1, h2 = report.groups
+        assert type(h0.coordinates) is intlinalg.DeferredMatrix, report.group_name
+        assert type(h1.coordinates) is IntegerMatrix and type(h2.coordinates) is IntegerMatrix, report.group_name
+        snf1 = smith_normal_form_as_given(report.d1)
+        kernel_rows = rows_from(snf1.Q_inv, snf1.rank)
+        snf_k = smith_normal_form_as_given(kernel_rows @ report.d2)
+        assert h1.coordinates == rows_from(snf_k.P, snf_k.rank - len(h1.torsion)) @ kernel_rows
+        assert h2.coordinates == rows_from(snf_k.Q_inv, snf_k.rank)
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)

@@ -62,13 +62,17 @@ def test_point_groups():
 
 
 def test_split_column():
-    non_split = {"pg", "pmg", "pgg", "p4m"}
+    # the non-symmorphic plane groups (International Tables for Crystallography, Vol. A)
+    non_split = {"pg", "pmg", "pgg", "p4g"}
     for name in ALL_GROUPS:
-        rec = wallpaper.get_group(name)[1]
+        complex, rec = wallpaper.get_group(name)
+        # the extension splits iff the point group fixes a point: a 0-cell whose stabilizer has its order
+        order = chartab.GROUP_ORDERS[rec.point_group]
+        fixed = any(chartab.GROUP_ORDERS[o.stabilizer] == order for o in complex.orbits_of_dimension(0))
         if name == "p1":
             assert rec.split == "n/a"
         else:
-            assert rec.split == ("no" if name in non_split else "yes")
+            assert rec.split == ("no" if name in non_split else "yes") == ("yes" if fixed else "no"), name
 
 
 def test_torsion_primes():
