@@ -2,10 +2,13 @@
 
 The nine groups that occur as cell stabilizers (C1, C2, C3, C4, C6, D2,
 D3, D4, D6) are small and fixed, so their conjugacy classes and character
-tables are embedded as literal data.  ``build_table`` checks each by exact
-row orthogonality when it first builds it (validating the embedding catalog
-at import builds all nine): all character values lie in Z[zeta_12], so |G|
-times each inner product is an ``int`` sum over their coefficient tuples.
+tables are embedded as literal data, each value an ``int`` or a power of
+zeta_12.  ``build_table`` makes every value a ``Cyclotomic`` and checks the
+table by exact row orthogonality when it first builds it (validating the
+embedding catalog at import builds all nine): all character values lie in
+Z[zeta_12], so |G| times each inner product is an ``int`` sum over their
+coefficient tuples, and ``inner_product`` of two ``Cyclotomic`` sequences
+is that sum over |G|, a ``Fraction``.
 Induction along a subgroup embedding is the adjoint of restriction under
 the character inner product (Frobenius reciprocity): row j of its matrix
 decomposes K's j-th irreducible pulled back through the embedding's class
@@ -31,7 +34,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from functools import lru_cache
 
-from .cyclotomic import Cyclotomic, I, _coerce, hermitian_sum
+from .cyclotomic import Cyclotomic, hermitian_sum
 from .intlinalg import IntegerMatrix
 
 
@@ -82,9 +85,9 @@ class SubgroupEmbedding(namedtuple("SubgroupEmbedding", "embedding_id sub sup cl
         raise KeyError(f"embedding {self.embedding_id} does not map class {h_label!r}")
 
 
-_zeta = Cyclotomic.zeta_pow  # omega_3 = zeta^4, omega_6 = zeta^2
+_zeta = Cyclotomic.zeta_pow  # i = zeta^3, omega_3 = zeta^4, omega_6 = zeta^2
 
-# classes: (label, size, element order); irreducibles: (name, values by class).
+# classes: (label, size, element order); irreducibles: (name, values by class), an int or a Cyclotomic each.
 _TABLE_DATA: dict[str, tuple[list[tuple[str, int, int]], list[tuple[str, list]]]] = {
     "C1": (
         [("e", 1, 1)],
@@ -106,9 +109,9 @@ _TABLE_DATA: dict[str, tuple[list[tuple[str, int, int]], list[tuple[str, list]]]
         [("e", 1, 1), ("r2", 1, 2), ("r", 1, 4), ("r3", 1, 4)],
         [
             ("chi_1", [1, 1, 1, 1]),
-            ("chi_2", [1, -1, I, -I]),
+            ("chi_2", [1, -1, _zeta(3), _zeta(9)]),
             ("chi_3", [1, 1, -1, -1]),
-            ("chi_4", [1, -1, -I, I]),
+            ("chi_4", [1, -1, _zeta(9), _zeta(3)]),
         ],
     ),
     "C6": (
@@ -176,7 +179,10 @@ def build_table(group_id: str) -> CharacterTable:
         group_id=group_id,
         order=GROUP_ORDERS[group_id],
         classes=tuple(ConjugacyClass(*c) for c in class_data),
-        irreducibles=tuple(Irreducible(name, tuple(map(_coerce, values))) for name, values in irr_data),
+        irreducibles=tuple(
+            Irreducible(name, tuple(v if type(v) is Cyclotomic else Cyclotomic((v, 0, 0, 0)) for v in values))
+            for name, values in irr_data
+        ),
     )
     _check_table(table)
     return table
@@ -187,7 +193,7 @@ def _check_table(t: CharacterTable) -> None:
         raise CharacterTableError(f"{t.group_id}: element order not dividing group order")
     if len(t.irreducibles) != len(t.classes):
         raise CharacterTableError(f"{t.group_id}: irreducible count differs from class count")
-    if any(v != 1 for v in t.irreducibles[0].values):
+    if any(v.coeffs != (1, 0, 0, 0) for v in t.irreducibles[0].values):
         raise CharacterTableError(f"{t.group_id}: first irreducible is not the trivial character")
     orders = [c.element_order for c in t.classes]
     if orders != sorted(orders):
@@ -202,7 +208,7 @@ def _pairing(f: Sequence[Cyclotomic], g: Sequence[Cyclotomic], table: CharacterT
     """|G| times the inner product of f and g: an ``int`` for class functions in Z[zeta_12]."""
     if len(f) != len(table.classes) or len(g) != len(table.classes):
         raise CharacterTableError(f"class function length mismatch for {table.group_id}")
-    total = hermitian_sum((c.size for c in table.classes), map(_coerce, f), map(_coerce, g))
+    total = hermitian_sum((c.size for c in table.classes), f, g)
     if any(total[1:]):
         raise CharacterTableError("inner product is not rational")
     return total[0]
@@ -224,9 +230,12 @@ def validate_embedding(emb: SubgroupEmbedding) -> None:
     mapped = dict(emb.class_map)
     if set(mapped) != {c.label for c in sub.classes}:
         raise CharacterTableError(f"{emb.embedding_id}: class map is not total on {emb.sub}")
+    orders = {c.label: c.element_order for c in sup.classes}
     for h in sub.classes:
-        k = sup.classes[sup.class_index(mapped[h.label])]
-        if h.element_order != k.element_order:
+        k = mapped[h.label]
+        if k not in orders:
+            raise CharacterTableError(f"{emb.embedding_id}: {emb.sup} has no class {k!r}")
+        if h.element_order != orders[k]:
             raise CharacterTableError(f"{emb.embedding_id}: class map does not preserve element order")
     if mapped[sub.classes[0].label] != sup.classes[0].label:
         raise CharacterTableError(f"{emb.embedding_id}: identity class not sent to identity class")

@@ -133,7 +133,7 @@ class IntegerMatrix:
         return IntegerMatrix(self.rows, other.cols, tuple(out))
 
     def __str__(self) -> str:
-        return "\n".join(" ".join(map(str, line)) for line in self.to_rows()) or "(empty)"
+        return "\n".join(" ".join(map(str, line)) for line in self.to_rows()) if self.rows and self.cols else "(empty)"
 
 
 _NONZEROS = IntegerMatrix.nonzeros  # the slot, which ``DeferredMatrix`` fills on first read

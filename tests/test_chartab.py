@@ -29,17 +29,28 @@ def induced_class_function(emb, values):
 
     Ind f(k) = (|K| / (|class(k)| * |H|)) * sum of |c| * f(c) over the
     H-classes c landing in class(k).  Independent of the Frobenius route
-    used by the library, so it serves as the oracle for induction.
+    used by the library, so it serves as the oracle for induction.  The sums
+    run on 4-tuples of ``Fraction`` coefficients; an induced character's
+    values are algebraic integers, so each comes out integral.
     """
     sub, sup = build_table(emb.sub), build_table(emb.sup)
     out = []
     for kc in sup.classes:
-        acc = Cyclotomic.of(0)
+        acc = [Fraction(0)] * 4
         for hc, hv in zip(sub.classes, values):
             if emb.mapped(hc.label) == kc.label:
-                acc = acc + hv * hc.size
-        out.append(acc * Fraction(sup.order, kc.size * sub.order))
+                acc = [a + hc.size * c for a, c in zip(acc, hv.coeffs)]
+        value = [a * Fraction(sup.order, kc.size * sub.order) for a in acc]
+        assert all(a.denominator == 1 for a in value), (emb.embedding_id, kc.label, value)
+        out.append(Cyclotomic(tuple(a.numerator for a in value)))
     return out
+
+
+def degree(chi):
+    """chi(e), the value at the identity class: a rational integer."""
+    a, *rest = chi.values[0].coeffs
+    assert not any(rest)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -53,20 +64,20 @@ def test_unknown_group_rejected():
 
 def test_c2_table_is_forced():
     t = build_table("C2")
-    values = [[int(v.as_rational()) for v in chi.values] for chi in t.irreducibles]
-    assert values == [[1, 1], [1, -1]]
+    values = [[v.coeffs for v in chi.values] for chi in t.irreducibles]
+    assert values == [[(1, 0, 0, 0), (1, 0, 0, 0)], [(1, 0, 0, 0), (-1, 0, 0, 0)]]
 
 
 def test_d3_degrees_and_names():
     t = build_table("D3")
     assert [chi.name for chi in t.irreducibles] == ["chi_1", "chi_2", "chi_3"]
-    assert [chi.values[0].as_rational() for chi in t.irreducibles] == [1, 1, 2]
+    assert [degree(chi) for chi in t.irreducibles] == [1, 1, 2]
 
 
 def test_d6_degrees_and_names():
     t = build_table("D6")
     assert [chi.name for chi in t.irreducibles] == ["chi_1", "chi_2", "chi_3", "chi_4", "phi_1", "phi_2"]
-    assert [chi.values[0].as_rational() for chi in t.irreducibles] == [1, 1, 1, 1, 2, 2]
+    assert [degree(chi) for chi in t.irreducibles] == [1, 1, 1, 1, 2, 2]
 
 
 def test_d4_names():
@@ -84,9 +95,9 @@ def test_table_structure(gid):
     assert len(t.irreducibles) == EXPECTED_IRREDUCIBLE_COUNTS[gid]
     assert sum(c.size for c in t.classes) == t.order
     assert all(t.order % c.element_order == 0 for c in t.classes)
-    assert all(v == 1 for v in t.irreducibles[0].values)
+    assert all(v.coeffs == (1, 0, 0, 0) for v in t.irreducibles[0].values)
     # sum of squared degrees is the group order
-    assert sum(chi.values[0].as_rational() ** 2 for chi in t.irreducibles) == t.order
+    assert sum(degree(chi) ** 2 for chi in t.irreducibles) == t.order
 
 
 @pytest.mark.parametrize("gid", chartab.GROUP_IDS)
@@ -107,7 +118,7 @@ def test_inner_product_examples():
 
 def test_regular_character_of_d3_contains_standard_twice():
     t = build_table("D3")
-    regular = [Cyclotomic.of(6), Cyclotomic.of(0), Cyclotomic.of(0)]
+    regular = [Cyclotomic((6, 0, 0, 0)), Cyclotomic((0, 0, 0, 0)), Cyclotomic((0, 0, 0, 0))]
     assert inner_product(regular, t.irreducibles[2].values, t) == 2
 
 
@@ -153,6 +164,10 @@ def test_broken_embedding_rejected():
     # the same defect surfaces as a non-integral decomposition
     with pytest.raises(CharacterTableError):
         induction_matrix(bad).transpose()
+    # a class the target group lacks is a structural fault too, not a KeyError
+    missing = SubgroupEmbedding("missing", "C2", "D2", (("e", "e"), ("z", "q")))
+    with pytest.raises(CharacterTableError, match="^missing: D2 has no class 'q'$"):
+        chartab.validate_embedding(missing)
 
 
 def test_unknown_embedding_id():
@@ -195,7 +210,7 @@ def test_restriction_to_trivial_group_counts_dimension(gid):
     m = induction_matrix(emb).transpose()
     t = build_table(gid)
     assert m.rows == 1
-    assert list(row(m, 0)) == [chi.values[0].as_rational() for chi in t.irreducibles]
+    assert list(row(m, 0)) == [degree(chi) for chi in t.irreducibles]
 
 
 @pytest.mark.parametrize("emb", registered_embeddings(), ids=lambda e: e.embedding_id)
@@ -203,8 +218,8 @@ def test_restriction_degree_identity(emb):
     m = induction_matrix(emb).transpose()
     sub, sup = build_table(emb.sub), build_table(emb.sup)
     for j, psi in enumerate(sup.irreducibles):
-        degree = sum(entry(m, i, j) * chi.values[0].as_rational() for i, chi in enumerate(sub.irreducibles))
-        assert degree == psi.values[0].as_rational()
+        restricted_degree = sum(entry(m, i, j) * degree(chi) for i, chi in enumerate(sub.irreducibles))
+        assert restricted_degree == degree(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +269,9 @@ def test_induction_entries_nonnegative_and_degree_scaled(emb):
     sub, sup = build_table(emb.sub), build_table(emb.sup)
     assert all(v >= 0 for row in m.nonzeros for v in row.values())
     for j, chi in enumerate(sub.irreducibles):
-        induced_degree = sum(entry(m, i, j) * psi.values[0].as_rational() for i, psi in enumerate(sup.irreducibles))
+        induced_degree = sum(entry(m, i, j) * degree(psi) for i, psi in enumerate(sup.irreducibles))
         index = chartab.GROUP_ORDERS[emb.sup] // chartab.GROUP_ORDERS[emb.sub]
-        assert induced_degree == index * chi.values[0].as_rational()
+        assert induced_degree == index * degree(chi)
 
 
 def test_reference_induced_rows_reproduced():

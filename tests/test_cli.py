@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -154,9 +153,7 @@ def test_dump_tables_reload_orthogonally(capsys):
     for table_data in payload["tables"]:
         table = chartab.build_table(table_data["group"])
         for chi_data, chi in zip(table_data["irreducibles"], table.irreducibles):
-            values = [
-                Cyclotomic(tuple(Fraction(c) for c in coeffs)) for coeffs in chi_data["values"]
-            ]
+            values = [Cyclotomic(tuple(map(int, coeffs))) for coeffs in chi_data["values"]]
             assert tuple(values) == chi.values
             assert chartab.inner_product(values, values, table) == 1
 
@@ -253,6 +250,11 @@ def test_snf_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "snf", str(path), "--format", "json")
     payload = json.loads(out)
     assert payload["invariant_factors"] == [2, 4]
+    # a matrix with no entries prints as (empty), whatever its number of rows
+    for matrix, p in (("[]", "(empty)"), ("[[]]", "1"), ("[[], []]", "1 0\n0 1")):
+        path.write_text(matrix, encoding="utf-8")
+        code, out, _ = run(capsys, "snf", str(path))
+        assert (code, out) == (0, f"invariant factors: []\nD =\n(empty)\nP =\n{p}\nQ =\n(empty)\n")
 
 
 def test_snf_rejects_ragged_matrix(capsys, tmp_path):

@@ -153,7 +153,7 @@ ROUND_TRIPS = {"copy": copy.copy, "deepcopy": copy.deepcopy, "pickle": lambda va
 def test_matrices_cyclotomics_and_reports_copy_and_pickle_by_value(round_trip):
     matrix = IntegerMatrix.from_rows([[1, 0, 0], [0, -2, 2**70]])
     deferred = DeferredMatrix(2, 3, lambda: matrix)  # a lambda does not pickle, its matrix does
-    for value in (matrix, deferred, Cyclotomic.of(1, 2), Cyclotomic.of(0, Fraction(1, 3))):
+    for value in (matrix, deferred, Cyclotomic((1, 2, 0, 0)), Cyclotomic((0, -1, 0, 2**70))):
         copied = round_trip(value)
         assert copied == value and type(copied) is (Cyclotomic if type(value) is Cyclotomic else IntegerMatrix)
     complexes = [wallpaper.get_group(name)[0]._replace() for name in ALL_GROUPS]  # reports with nothing read

@@ -305,7 +305,7 @@ def coordinate_replays(report, degree: int) -> Counter:
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
-def test_compute_homology_builds_five_transforms(built, reports, name):
+def test_compute_homology_builds_seven_transforms(built, reports, name):
     complex = wallpaper.get_group(name)[0]._replace()  # a fresh copy, not yet reduced
     compute_homology(complex)
     # seven walks, each building one restricted transform; a replay from first 0 builds a full
